@@ -67,7 +67,10 @@ programs::ProgramSpec resolve_program(const JobRequest& req) {
     if (!req.name.empty()) spec.name = req.name;
     return spec;
   }
-  std::string_view default_name = req.name.empty() ? "job" : req.name;
+  // Both arms are views: a "job" : req.name ternary would build a
+  // std::string temporary that dies before the view is used.
+  const std::string_view default_name =
+      req.name.empty() ? std::string_view("job") : std::string_view(req.name);
   if (req.kind == "pir")
     return privanalyzer::load_program(req.source, default_name);
   if (req.kind == "pc")
@@ -85,9 +88,7 @@ privanalyzer::PipelineOptions make_pipeline_options(
   opts.run_rosa = req.run_rosa;
   opts.rosa_limits.max_states = req.max_states;
   opts.rosa_limits.max_bytes = req.max_bytes;
-  opts.rosa_limits.search_threads = req.search_threads;
   opts.rosa_limits.reduction = req.reduction;
-  opts.rosa_limits.fused = req.fused;
   opts.rosa_limits.cancel = cancel;
   opts.rosa_threads = req.rosa_threads;
   opts.rosa_escalation_rounds = req.escalate_rounds;

@@ -156,7 +156,7 @@ std::string search_stats_to_csv(const std::vector<ProgramAnalysis>& analyses) {
         "hash_collisions,peak_frontier,peak_bytes,bytes_per_state,"
         "spilled_states,spill_bytes,symmetry_pruned,por_pruned,"
         "escalations,fused_group_size,fused_searches_saved,"
-        "fused_world_states,engage_threshold,layers_engaged,layers_serial,"
+        "fused_world_states,"
         "cache_hits,cache_misses,cache_joins,seconds\n";
   for (const ProgramAnalysis& a : analyses) {
     for (const attacks::EpochVerdicts& ev : a.verdicts) {
@@ -176,8 +176,6 @@ std::string search_stats_to_csv(const std::vector<ProgramAnalysis>& analyses) {
            << r.stats.fused_group_size << ','
            << r.stats.fused_searches_saved << ','
            << r.stats.fused_world_states << ','
-           << r.stats.engage_threshold << ','
-           << r.stats.layers_engaged << ',' << r.stats.layers_serial << ','
            << r.stats.cache_hits << ',' << r.stats.cache_misses << ','
            << r.stats.cache_joins << ',' << str::fixed(r.stats.seconds, 6)
            << '\n';

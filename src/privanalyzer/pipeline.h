@@ -31,10 +31,10 @@ std::optional<FilterMode> parse_filter_mode(std::string_view name);
 struct PipelineOptions {
   autopriv::Options autopriv;
   /// Per-query budgets plus engine mode flags, passed through to every
-  /// search of the matrix. rosa_limits.fused (default on) groups the four
-  /// attacks of each epoch into one shared exploration per world signature;
-  /// `--no-fused-search` clears it for A/B ablation. Fused and unfused runs
-  /// render identically (tests/rosa_fused_diff_test.cpp).
+  /// search of the matrix. The matrix always runs as one batch, so the four
+  /// attacks of each epoch fuse into one shared exploration per world
+  /// signature (rosa::run_queries); fused results render identically to
+  /// per-query searches (tests/rosa_fused_diff_test.cpp).
   rosa::SearchLimits rosa_limits;
   /// Skip the ROSA stage (ChronoPriv-only runs for tests/benches).
   bool run_rosa = true;

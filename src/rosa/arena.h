@@ -1,26 +1,18 @@
-// Chunked append-only arena with byte-level memory accounting — the node
-// store behind rosa::search().
+// Chunked append-only arena — the node store behind the ROSA search loop.
 //
-// Two properties matter to the search loop:
-//
-//  1. Stable addresses. Elements never move once appended (chunks are
-//     reserved up front and never reallocated), so the BFS can hold plain
-//     references to popped nodes across successor appends — the old
-//     std::vector<Node> store forced a re-fetch-by-index discipline because
-//     any push_back could reallocate the whole array.
-//  2. Accountable footprint. bytes() reports the arena's allocated chunk
-//     memory plus caller-registered per-element heap bytes (add_bytes), so
-//     SearchLimits::max_bytes can bound a search by memory the same way
-//     max_states bounds it by node count, and SearchStats::peak_bytes can
-//     report the high-water mark. The arena only ever grows, so its current
-//     size IS the peak.
+// Elements never move once appended (chunks are reserved up front and never
+// reallocated), so the BFS can hold plain references to popped nodes across
+// successor appends, where a std::vector store would force a
+// re-fetch-by-index discipline because any push_back could reallocate the
+// whole array.
 //
 // Chunk capacities grow geometrically (first_capacity, doubling up to
-// chunk_capacity, then uniform): a ten-node search is charged a 16-node
-// chunk rather than a full-sized one, so bytes-per-state stays honest at
-// both ends of the size spectrum, and the uniform cap keeps worst-case
-// reservation slack to one chunk. Growth stays deterministic — capacities
-// depend only on append count, never on allocator behaviour.
+// chunk_capacity, then uniform), so worst-case reservation slack is one
+// chunk. Growth is deterministic — capacities depend only on append count,
+// never on allocator behaviour — which is what lets the search model each
+// goal's byte footprint from its own commit count (ArenaSim in
+// rosa/search.cpp): SearchLimits::max_bytes bounds a search by memory the
+// way max_states bounds it by node count.
 #pragma once
 
 #include <algorithm>
@@ -48,7 +40,6 @@ class Arena {
       starts_.push_back(size_);
       chunks_.emplace_back();
       chunks_.back().reserve(next_cap_);
-      reserved_ += next_cap_;
       next_cap_ = std::min(next_cap_ * 2, chunk_cap_);
     }
     chunks_.back().push_back(std::move(v));
@@ -65,15 +56,6 @@ class Arena {
     return chunks_[c][i - starts_[c]];
   }
 
-  /// Register heap bytes owned by elements (their own allocations are
-  /// invisible to the arena) so bytes() reflects the true footprint.
-  void add_bytes(std::size_t n) { extra_bytes_ += n; }
-
-  /// Allocated bytes: chunk reservations plus registered extras.
-  std::size_t bytes() const {
-    return reserved_ * sizeof(T) + extra_bytes_;
-  }
-
  private:
   std::size_t chunk_of(std::size_t i) const {
     // Chunks are few (geometric prefix, then uniform), so a binary search
@@ -85,8 +67,6 @@ class Arena {
   std::size_t chunk_cap_;
   std::size_t next_cap_;
   std::size_t size_ = 0;
-  std::size_t reserved_ = 0;
-  std::size_t extra_bytes_ = 0;
   std::vector<std::size_t> starts_;
   std::vector<std::vector<T>> chunks_;
 };

@@ -160,14 +160,11 @@ std::optional<QueryCache::Entry> make_entry(const SearchResult& r,
   e.stats = r.stats;
   e.stats.cache_hits = e.stats.cache_misses = e.stats.cache_joins = 0;
   // Mode-of-computation observability, not query cost: a warm hit must be
-  // byte-identical whether the entry was computed by a fused group, a
-  // standalone search, or a multi-worker layered run.
+  // byte-identical whether the entry was computed by a fused group or a
+  // one-query search.
   e.stats.fused_group_size = 0;
   e.stats.fused_searches_saved = 0;
   e.stats.fused_world_states = 0;
-  e.stats.engage_threshold = 0;
-  e.stats.layers_engaged = 0;
-  e.stats.layers_serial = 0;
   e.witness = r.witness;
   e.sig_max_states = limits.max_states;
   e.sig_max_seconds = limits.max_seconds;

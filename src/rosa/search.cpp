@@ -3,14 +3,16 @@
 #include "rosa/arena.h"
 #include "rosa/cache.h"
 #include "rosa/canon.h"
-#include "rosa/frontier.h"
 #include "rosa/independence.h"
 #include "rosa/rules.h"
+#include "rosa/spill.h"
 
 #include <algorithm>
 #include <bit>
 #include <chrono>
 #include <deque>
+#include <limits>
+#include <optional>
 #include <unordered_map>
 
 #include "rosa/fingerprint.h"
@@ -59,9 +61,6 @@ void SearchStats::merge(const SearchStats& other) {
   fused_group_size = std::max(fused_group_size, other.fused_group_size);
   fused_searches_saved += other.fused_searches_saved;
   fused_world_states += other.fused_world_states;
-  engage_threshold = std::max(engage_threshold, other.engage_threshold);
-  layers_engaged += other.layers_engaged;
-  layers_serial += other.layers_serial;
 }
 
 std::string SearchStats::to_string() const {
@@ -78,9 +77,6 @@ std::string SearchStats::to_string() const {
                   " fused-group=", fused_group_size,
                   " fused-saved=", fused_searches_saved,
                   " fused-world-states=", fused_world_states,
-                  " engage-threshold=", engage_threshold,
-                  " layers-engaged=", layers_engaged,
-                  " layers-serial=", layers_serial,
                   " cache-hits=", cache_hits,
                   " cache-misses=", cache_misses, " cache-joins=", cache_joins,
                   " time=", str::fixed(seconds, 3), "s");
@@ -98,272 +94,42 @@ std::string SearchResult::to_string() const {
   return out;
 }
 
-SearchResult search(const Query& query, const SearchLimits& limits) {
-  PA_FAULTPOINT("rosa.search");
-  PA_CHECK(query.messages.size() <= 64,
-           "ROSA tracks at most 64 one-shot messages");
-  PA_CHECK(static_cast<bool>(query.goal), "query has no goal predicate");
-
-  // Intra-search parallelism and frontier spilling both run on the layered
-  // engine (rosa/frontier.cpp), which is proven bit-identical to the serial
-  // loop below by tests/rosa_intra_parallel_diff_test.cpp. The serial loop
-  // stays as the reference implementation and the single-threaded default.
-  if (limits.search_threads != 1 || limits.spill_enabled())
-    return detail::search_layered(query, limits);
-
-  const auto t0 = std::chrono::steady_clock::now();
-  auto elapsed = [&t0] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
-  };
-
-  SearchResult result;
-
-  // The node layout is shared with the layered engine so both charge the
-  // arena an identical byte schedule (see detail::SearchNode). Here `aux`
-  // is the intrusive hash chain: the next node with the same 64-bit state
-  // hash (-1 = end of chain); the seen-map stores one head index per hash,
-  // and genuine collisions extend the chain instead of allocating per-key
-  // buckets.
-  using Node = detail::SearchNode;
-  // Chunked arena: node addresses are stable across appends (no whole-array
-  // reallocation), and bytes() gives the footprint SearchLimits::max_bytes
-  // bounds and SearchStats::peak_bytes reports.
-  Arena<Node> nodes;
-  // Hash of canonical form -> head of the Node chain with that hash. Keying
-  // on 8-byte digests instead of full canonical() strings removes one string
-  // build + hash per generated successor; exactness is restored by
-  // canonical_equal() along the (almost always length-1) chain.
-  std::unordered_map<std::uint64_t, std::size_t> seen;
-  std::deque<std::size_t> frontier;
-
-  // Size the seen-set for the typical attack query up front so early growth
-  // never rehashes; it still grows for the huge exhaustive searches.
-  const std::size_t reserve_hint =
-      limits.max_states ? std::min<std::size_t>(limits.max_states, 4096)
-                        : 4096;
-  seen.reserve(reserve_hint);
-
-  auto state_key = [&limits](const State& st) {
-    if (limits.check_hashes)
-      PA_CHECK(st.hash() == st.full_hash(),
-               "incremental state digest diverged from full rehash");
-    return limits.hash_override ? limits.hash_override(st) : st.hash();
-  };
-
-  const std::uint64_t full_msg_mask =
-      query.messages.empty()
-          ? 0
-          : (query.messages.size() == 64
-                 ? ~std::uint64_t{0}
-                 : (std::uint64_t{1} << query.messages.size()) - 1);
-
-  State init = query.initial;
-  init.normalize();
-  init.set_msgs_remaining(full_msg_mask);
-
-  // Byte accounting: the shared world skeleton is charged once per search
-  // (every node references the same instance), each node's own heap
-  // allocations are registered with the arena as it is appended. The
-  // accounting is capacity-based and allocator-independent, so max_bytes
-  // exhaustion is deterministic.
-  std::size_t skeleton_bytes = 0;
-  if (const auto& world = init.world()) {
-    skeleton_bytes = sizeof(WorldSkeleton) +
-                     world->names.capacity() *
-                         sizeof(std::pair<int, std::string>) +
-                     (world->users.capacity() + world->groups.capacity()) *
-                         sizeof(int);
-    for (const auto& [id, name] : world->names)
-      skeleton_bytes += name.capacity() > 15 ? name.capacity() + 1 : 0;
-  }
-  auto arena_bytes = [&] { return skeleton_bytes + nodes.bytes(); };
-
-  // Symmetry + partial-order reduction plan (rosa/canon.h,
-  // rosa/independence.h); empty when limits.reduction is off or the query
-  // is ineligible, in which case the loop below degenerates to the classic
-  // unreduced reference search.
-  const ReductionPlan plan = make_reduction_plan(query, limits);
-  // Node index -> the (non-identity) renaming its state underwent during
-  // canonicalization, needed to translate witness actions back into the
-  // original identity frame. Sparse: most canonicalizations are identities.
-  std::unordered_map<std::size_t, Renaming> renames;
-
-  auto finish = [&](Verdict v, std::int64_t goal_node) {
-    result.verdict = v;
-    result.stats.seconds = elapsed();
-    result.stats.decisive_states = result.stats.states;
-    if (goal_node >= 0) {
-      std::vector<std::size_t> path;
-      for (std::int64_t n = goal_node; n > 0;
-           n = nodes[static_cast<std::size_t>(n)].parent)
-        path.push_back(static_cast<std::size_t>(n));
-      std::reverse(path.begin(), path.end());
-      // Stored actions live in the canonical frame of their parent, i.e.
-      // the original frame composed with rho = sigma_{i-1} ∘ … ∘ sigma_1.
-      // Undo rho per step, then fold in this step's own renaming.
-      Renaming rho;
-      for (std::size_t n : path) {
-        Action step = nodes[n].action;
-        unrename_action(step, rho);
-        result.witness.push_back(std::move(step));
-        const auto it = renames.find(n);
-        if (it != renames.end()) compose_renaming(rho, it->second);
-      }
-    }
-    return result;
-  };
-
-  {
-    const std::uint64_t init_key = state_key(init);
-    Node& root = nodes.push_back(Node{std::move(init), -1, Action{}, -1});
-    nodes.add_bytes(root.state.heap_bytes());
-    result.stats.state_bytes = sizeof(State) + root.state.heap_bytes();
-    seen.emplace(init_key, 0);
-    frontier.push_back(0);
-    result.stats.states = 1;
-    result.stats.peak_frontier = 1;
-    result.stats.peak_bytes = arena_bytes();
-    if (query.goal(root.state)) return finish(Verdict::Reachable, 0);
-  }
-
-  // Hoisted out of the pop loop: the checker never changes mid-search, and
-  // the successor scratch vector keeps its capacity across every
-  // apply_message call instead of allocating a fresh vector per (state,
-  // message) pair.
-  const AccessChecker& ck = query.checker ? *query.checker : linux_checker();
-  std::vector<Transition> scratch;
-  std::vector<ExpandedTransition> expanded;
-
-  while (!frontier.empty()) {
-    // The wall-clock budget, the batch-wide deadline, and the cooperative
-    // cancel flag are all enforced here, once per frontier pop: a
-    // per-message-loop check alone is blind to searches whose per-state
-    // fanout is tiny but whose frontier is enormous.
-    if (limits.max_seconds > 0 && elapsed() > limits.max_seconds)
-      return finish(Verdict::ResourceLimit, -1);
-    if (limits.expired()) return finish(Verdict::ResourceLimit, -1);
-
-    const std::size_t cur = frontier.front();
-    frontier.pop_front();
-    // Arena addresses are stable, so the popped node's state can be
-    // referenced across successor appends without re-fetching by index.
-    const State& cur_state = nodes[cur].state;
-
-    // expand_state applies either the chosen ample set (POR) or every
-    // unconsumed message (including the CfiOrdered program-order gate),
-    // buffering successors in the exact order the classic loop produced.
-    result.stats.por_pruned +=
-        expand_state(cur_state, query, ck, plan.por() ? &plan.table : nullptr,
-                     full_msg_mask, query.msg_mask, expanded, scratch);
-    for (ExpandedTransition& et : expanded) {
-      Transition& tr = et.tr;
-      ++result.stats.transitions;
-      Renaming sigma;
-      if (plan.sym()) {
-        sigma = canonicalize(tr.next, plan.symmetry);
-        if (!sigma.identity()) ++result.stats.symmetry_pruned;
-      }
-
-      const std::size_t ni = nodes.size();
-      if (!limits.no_dedup) {
-        auto [it, inserted] = seen.try_emplace(state_key(tr.next), ni);
-        if (!inserted) {
-          // Hash already present: walk the chain; exact match = duplicate,
-          // otherwise it is a genuine 64-bit collision and the new state
-          // joins the chain.
-          std::size_t idx = it->second;
-          bool duplicate = false;
-          for (;;) {
-            if (canonical_equal(nodes[idx].state, tr.next)) {
-              duplicate = true;
-              break;
-            }
-            if (nodes[idx].aux < 0) break;
-            idx = static_cast<std::size_t>(nodes[idx].aux);
-          }
-          if (duplicate) {
-            ++result.stats.dedup_hits;
-            continue;
-          }
-          ++result.stats.hash_collisions;
-          nodes[idx].aux = static_cast<std::int64_t>(ni);
-        }
-      }
-      Node& added =
-          nodes.push_back(Node{std::move(tr.next),
-                               static_cast<std::int64_t>(cur),
-                               std::move(tr.action), -1});
-      nodes.add_bytes(added.state.heap_bytes() +
-                      added.action.args.capacity() * sizeof(int));
-      result.stats.state_bytes += sizeof(State) + added.state.heap_bytes();
-      if (!sigma.identity()) renames.emplace(ni, std::move(sigma));
-      ++result.stats.states;
-      result.stats.peak_bytes =
-          std::max(result.stats.peak_bytes, arena_bytes());
-
-      if (query.goal(added.state))
-        return finish(Verdict::Reachable, static_cast<std::int64_t>(ni));
-
-      if (limits.max_states && result.stats.states >= limits.max_states)
-        return finish(Verdict::ResourceLimit, -1);
-      if (limits.max_bytes && arena_bytes() > limits.max_bytes)
-        return finish(Verdict::ResourceLimit, -1);
-      frontier.push_back(ni);
-      result.stats.peak_frontier =
-          std::max(result.stats.peak_frontier, frontier.size());
-    }
-  }
-  return finish(Verdict::Unreachable, -1);
-}
-
-SearchResult search_escalating(const Query& query, const SearchLimits& limits,
-                               const EscalationPolicy& policy) {
-  SearchResult result = search(query, limits);
-  if (!policy.enabled()) return result;
-
-  SearchStats accumulated = result.stats;
-  SearchLimits grown = limits;
-  for (unsigned round = 0; round < policy.rounds; ++round) {
-    if (result.verdict != Verdict::ResourceLimit) break;
-    // A batch deadline or cancellation caused (or would immediately re-cause)
-    // the ResourceLimit; retrying past it is wasted work.
-    if (grown.expired()) break;
-    if (grown.max_states)
-      grown.max_states = static_cast<std::size_t>(
-          static_cast<double>(grown.max_states) * policy.factor);
-    if (grown.max_seconds > 0) grown.max_seconds *= policy.factor;
-    if (grown.max_bytes)
-      grown.max_bytes = static_cast<std::size_t>(
-          static_cast<double>(grown.max_bytes) * policy.factor);
-    result = search(query, grown);
-    accumulated.escalations += 1;
-    accumulated.states += result.stats.states;
-    accumulated.transitions += result.stats.transitions;
-    accumulated.dedup_hits += result.stats.dedup_hits;
-    accumulated.hash_collisions += result.stats.hash_collisions;
-    accumulated.peak_frontier =
-        std::max(accumulated.peak_frontier, result.stats.peak_frontier);
-    accumulated.peak_bytes =
-        std::max(accumulated.peak_bytes, result.stats.peak_bytes);
-    accumulated.state_bytes += result.stats.state_bytes;
-    accumulated.spilled_states += result.stats.spilled_states;
-    accumulated.spill_bytes += result.stats.spill_bytes;
-    accumulated.symmetry_pruned += result.stats.symmetry_pruned;
-    accumulated.por_pruned += result.stats.por_pruned;
-    accumulated.seconds += result.stats.seconds;
-  }
-  // The decisive attempt's verdict/witness with whole-query work accounting;
-  // decisive_states alone tracks the final attempt, not the sum.
-  accumulated.decisive_states = result.stats.decisive_states;
-  result.stats = accumulated;
-  return result;
-}
-
-namespace detail {
-
 namespace {
+
+/// One explored state. `aux` is the intrusive hash chain: the next node
+/// with the same dedup key (-1 = end of chain); the seen-map stores one
+/// head index per key, and genuine collisions extend the chain instead of
+/// allocating per-key buckets. An evicted node (spilling) keeps its parent,
+/// action and chain link; its state lives in the spill store.
+struct SearchNode {
+  State state;
+  std::int64_t parent = -1;
+  Action action;
+  std::int64_t aux = -1;
+};
+
+/// The node-arena footprint of one group member as a pure function of that
+/// member's own commit sequence: the chunks an Arena<SearchNode> holding
+/// only the member's nodes would reserve (16, then doubling up to the 128
+/// cap) plus each node's extra heap bytes. skeleton_bytes + bytes() is thus
+/// the member's footprint whatever else the group explored, and with it
+/// every max_bytes verdict and peak_bytes figure.
+struct ArenaSim {
+  std::size_t size = 0;
+  std::size_t reserved = 0;
+  std::size_t extra = 0;
+  std::size_t next_cap = 16;
+
+  void push(std::size_t extra_bytes) {
+    if (size == reserved) {
+      reserved += next_cap;
+      next_cap = std::min<std::size_t>(next_cap * 2, 128);
+    }
+    ++size;
+    extra += extra_bytes;
+  }
+  std::size_t bytes() const { return reserved * sizeof(SearchNode) + extra; }
+};
 
 /// Visit the set bits of `bits` as member indices, ascending.
 template <typename Fn>
@@ -377,13 +143,25 @@ void for_members(std::uint64_t bits, Fn&& fn) {
 
 }  // namespace
 
+SearchResult search(const Query& query, const SearchLimits& limits) {
+  return std::move(
+      detail::search_fused(std::span<const Query>(&query, 1), limits)[0]);
+}
+
+SearchResult search_escalating(const Query& query, const SearchLimits& limits,
+                               const EscalationPolicy& policy) {
+  return std::move(detail::search_fused_escalating(
+      std::span<const Query>(&query, 1), limits, policy)[0]);
+}
+
+namespace detail {
+
 std::vector<SearchResult> search_fused(std::span<const Query> group,
                                        const SearchLimits& limits) {
   PA_CHECK(!group.empty(), "search_fused needs at least one query");
   PA_CHECK(group.size() <= 64, "fused groups are capped at 64 members");
-  PA_CHECK(!limits.spill_enabled(),
-           "the fused engines do not support frontier spilling");
-  if (group.size() == 1) return {search(group[0], limits)};
+  PA_CHECK(group.size() == 1 || !limits.spill_enabled(),
+           "only a one-member group can spill its frontier");
   for (const Query& q : group) {
     PA_FAULTPOINT("rosa.search");
     PA_CHECK(q.messages.size() <= 64,
@@ -393,7 +171,6 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
                  q.attacker == group[0].attacker,
              "fused group members must share one world");
   }
-  if (limits.search_threads != 1) return search_fused_layered(group, limits);
 
   const auto t0 = std::chrono::steady_clock::now();
   auto elapsed = [&t0] {
@@ -413,11 +190,11 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
                  ? ~std::uint64_t{0}
                  : (std::uint64_t{1} << world_q.messages.size()) - 1);
 
-  // Per-member replay: the fused exploration walks the union graph once,
-  // and each member's standalone run is re-enacted on the side — membership
-  // is state-intrinsic (consumed ⊆ mask survives canonicalization and is
-  // equal across equal states), so every counter a standalone run would
-  // have produced is derivable from the union walk.
+  // Per-member replay: the exploration walks the union graph once, and
+  // each member's own run is re-enacted on the side — membership is
+  // state-intrinsic (consumed ⊆ mask survives canonicalization and is equal
+  // across equal states), so every counter a one-member run would have
+  // produced is derivable from the union walk.
   struct Member {
     std::uint64_t mask = 0;  // normalized msg_mask
     SearchStats stats;
@@ -439,7 +216,7 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
 
   // Member m contains a state iff every consumed message is in m's mask —
   // masked-out messages never fire, so consuming one puts the state outside
-  // m's standalone graph forever.
+  // m's own graph forever.
   auto members_of = [&](std::uint64_t consumed) {
     std::uint64_t ms = 0;
     for (std::size_t m = 0; m < n_members; ++m)
@@ -447,10 +224,19 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
     return ms;
   };
 
+  // Chunked arena: node addresses are stable across appends (no whole-array
+  // reallocation). The byte footprint SearchLimits::max_bytes bounds and
+  // SearchStats::peak_bytes reports is each member's ArenaSim.
   using Node = SearchNode;
   Arena<Node> nodes;
+  // Dedup key -> head of the Node chain with that key. Keying on 8-byte
+  // digests instead of full canonical() strings removes one string build +
+  // hash per generated successor; exactness is restored by canonical_equal()
+  // along the (almost always length-1) chain.
   std::unordered_map<std::uint64_t, std::size_t> seen;
   std::deque<std::size_t> frontier;
+  // Size the seen-set for the typical attack query up front so early growth
+  // never rehashes; it still grows for the huge exhaustive searches.
   const std::size_t reserve_hint =
       limits.max_states ? std::min<std::size_t>(limits.max_states, 4096)
                         : 4096;
@@ -466,9 +252,15 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
   State init = world_q.initial;
   init.normalize();
   init.set_msgs_remaining(full_msg_mask);
+  const std::shared_ptr<const WorldSkeleton> world = init.world();
 
+  // Byte accounting: the shared world skeleton is charged once per search
+  // (every node references the same instance), each node's own heap
+  // allocations are added to each owning member's ArenaSim as it is
+  // committed. The accounting is capacity-based and allocator-independent,
+  // so max_bytes exhaustion is deterministic.
   std::size_t skeleton_bytes = 0;
-  if (const auto& world = init.world()) {
+  if (world) {
     skeleton_bytes = sizeof(WorldSkeleton) +
                      world->names.capacity() *
                          sizeof(std::pair<int, std::string>) +
@@ -478,10 +270,36 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
       skeleton_bytes += name.capacity() > 15 ? name.capacity() + 1 : 0;
   }
 
-  // Grouping (run_queries) guarantees every member computes this same plan:
-  // symmetry eligibility and the independence table are part of the group
-  // key, and POR is refused outright under proper masks.
+  // Spilling (one-member groups only): once the byte budget first trips,
+  // every node committed from then on — index first_evicted onwards — is
+  // evicted, so spill_refs[i - first_evicted] locates node i's frame.
+  std::optional<SpillStore> store;
+  std::optional<SpillReader> reader;
+  if (limits.spill_enabled()) {
+    store.emplace(limits.spill_dir);
+    reader.emplace(*store);
+  }
+  std::size_t first_evicted = std::numeric_limits<std::size_t>::max();
+  std::vector<SpillStore::Ref> spill_refs;
+  State popped;  // read-back buffers for evicted states
+  State probed;
+  auto state_of = [&](std::size_t i, State& buf) -> const State& {
+    if (i < first_evicted) return nodes[i].state;
+    buf = reader->load(spill_refs[i - first_evicted], world);
+    return buf;
+  };
+
+  // Symmetry + partial-order reduction plan (rosa/canon.h,
+  // rosa/independence.h); empty when limits.reduction is off or the query
+  // is ineligible, in which case the loop degenerates to the unreduced
+  // reference search. Grouping (run_queries) guarantees every member
+  // computes this same plan: symmetry eligibility and the independence
+  // table are part of the group key, and POR is refused outright under
+  // proper masks.
   const ReductionPlan plan = make_reduction_plan(world_q, limits);
+  // Node index -> the (non-identity) renaming its state underwent during
+  // canonicalization, needed to translate witness actions back into the
+  // original identity frame. Sparse: most canonicalizations are identities.
   std::unordered_map<std::size_t, Renaming> renames;
 
   auto decide = [&](std::size_t m, Verdict v, std::int64_t goal_node) {
@@ -490,14 +308,20 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
     res.verdict = v;
     mem.stats.seconds = elapsed();
     mem.stats.decisive_states = mem.stats.states;
+    if (store) {
+      mem.stats.spilled_states = store->spilled_states();
+      mem.stats.spill_bytes = store->spill_bytes();
+    }
     if (goal_node >= 0) {
       std::vector<std::size_t> path;
       for (std::int64_t nd = goal_node; nd > 0;
            nd = nodes[static_cast<std::size_t>(nd)].parent)
         path.push_back(static_cast<std::size_t>(nd));
       std::reverse(path.begin(), path.end());
-      // Every node on the path is m-intrinsic (ancestors consume subsets),
-      // so the walk is identical to the standalone finish().
+      // Stored actions live in the canonical frame of their parent, i.e.
+      // the original frame composed with rho = sigma_{i-1} ∘ … ∘ sigma_1.
+      // Undo rho per step, then fold in this step's own renaming. Every
+      // node on the path is m-intrinsic (ancestors consume subsets).
       Renaming rho;
       for (std::size_t nd : path) {
         Action step = nodes[nd].action;
@@ -516,7 +340,6 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
     const std::uint64_t init_key = state_key(init);
     Node& root = nodes.push_back(Node{std::move(init), -1, Action{}, -1});
     const std::size_t heap = root.state.heap_bytes();
-    nodes.add_bytes(heap);
     seen.emplace(init_key, 0);
     frontier.push_back(0);
     for (std::size_t m = 0; m < n_members; ++m) {
@@ -531,12 +354,18 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
     }
   }
 
+  // Hoisted out of the pop loop: the checker never changes mid-search, and
+  // the successor scratch vectors keep their capacity across every pop.
   const AccessChecker& ck =
       world_q.checker ? *world_q.checker : linux_checker();
   std::vector<Transition> scratch;
   std::vector<ExpandedTransition> expanded;
 
   while (live && !frontier.empty()) {
+    // The wall-clock budget, the batch-wide deadline, and the cooperative
+    // cancel flag are all enforced here, once per frontier pop: a
+    // per-message-loop check alone is blind to searches whose per-state
+    // fanout is tiny but whose frontier is enormous.
     if ((limits.max_seconds > 0 && elapsed() > limits.max_seconds) ||
         limits.expired()) {
       for_members(live,
@@ -546,7 +375,15 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
 
     const std::size_t cur = frontier.front();
     frontier.pop_front();
-    const State& cur_state = nodes[cur].state;
+    // A pop that reaches the open spill chunk publishes it first. In BFS
+    // order that happens about once per layer, so the write buffer holds
+    // about one layer of frames and each chunk file about one layer.
+    if (cur >= first_evicted &&
+        spill_refs[cur - first_evicted].chunk == store->chunks_written())
+      store->flush();
+    // Arena addresses are stable, so a resident popped state can be
+    // referenced across successor appends without re-fetching by index.
+    const State& cur_state = state_of(cur, popped);
     const std::uint64_t cur_msgs = cur_state.msgs_remaining();
     const std::uint64_t consumed_cur = full_msg_mask & ~cur_msgs;
     const std::uint64_t live_owners = members_of(consumed_cur) & live;
@@ -555,6 +392,9 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
     for_members(live_owners, [&](std::size_t m) { --members[m].frontier; });
     if (!live_owners) continue;
 
+    // expand_state applies either the chosen ample set (POR) or every
+    // unconsumed live-fireable message (including the CfiOrdered
+    // program-order gate), buffering successors in a fixed order.
     const std::size_t pruned =
         expand_state(cur_state, world_q, ck,
                      plan.por() ? &plan.table : nullptr, full_msg_mask,
@@ -562,7 +402,7 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
     if (pruned)
       // POR only engages when every mask is full (build() refuses proper
       // masks), so the ample choice — and this charge — is exactly what
-      // every live member's standalone pop would have done.
+      // every live member's own pop would have done.
       for_members(live_owners, [&](std::size_t m) {
         members[m].stats.por_pruned += pruned;
       });
@@ -574,9 +414,9 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
           consumed_cur | (std::uint64_t{1} << et.msg);
       const std::uint64_t tr_members = members_of(consumed_next);
       std::uint64_t live_tr = tr_members & live;
-      // Orphan candidate: no live member's standalone run generates it, and
-      // none ever will (equal states have equal membership, live only
-      // shrinks) — drop it before any bookkeeping.
+      // Orphan candidate: no live member's own run generates it, and none
+      // ever will (equal states have equal membership, live only shrinks)
+      // — drop it before any bookkeeping.
       if (!live_tr) continue;
       for_members(live_tr,
                   [&](std::size_t m) { ++members[m].stats.transitions; });
@@ -593,9 +433,12 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
       if (!limits.no_dedup) {
         auto [it, inserted] = seen.try_emplace(state_key(tr.next), ni);
         if (!inserted) {
+          // Key already present: walk the chain; exact match = duplicate,
+          // otherwise it is a genuine 64-bit collision and the new state
+          // joins the chain.
           std::size_t idx = it->second;
           bool duplicate = false;
-          // Standalone-m's map holds this digest iff the chain holds an
+          // Member m's own map holds this key iff the chain holds an
           // m-intrinsic state (every m-state here was committed while m was
           // live — liveness only shrinks). When no duplicate stops the walk
           // early, the walk reaches the chain's end, so the accumulated
@@ -603,7 +446,11 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
           // needs it.
           std::uint64_t chain_members = 0;
           for (;;) {
-            const State& chain_state = nodes[idx].state;
+            // Equal states consume equally many messages, so an evicted
+            // chain state is usually in the layer under construction and
+            // still in the open chunk; the reader parses it in place there
+            // rather than publishing a chunk per probe.
+            const State& chain_state = state_of(idx, probed);
             chain_members |=
                 members_of(full_msg_mask & ~chain_state.msgs_remaining());
             if (canonical_equal(chain_state, tr.next)) {
@@ -625,14 +472,20 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
           nodes[idx].aux = static_cast<std::int64_t>(ni);
         }
       }
-      Node& added =
-          nodes.push_back(Node{std::move(tr.next),
-                               static_cast<std::int64_t>(cur),
-                               std::move(tr.action), -1});
-      const std::size_t heap = added.state.heap_bytes();
-      const std::size_t extra =
-          heap + added.action.args.capacity() * sizeof(int);
-      nodes.add_bytes(extra);
+      // An evicted commit writes the canonical text to the store and keeps
+      // only parent/action/chain link resident. The stored digest is the
+      // state's real full hash — never a hash_override value; only identity
+      // verification on read-back remains. state_bytes stays the logical
+      // footprint either way, so bytes_per_state is undistorted by spilling.
+      const bool evict = ni >= first_evicted;
+      if (evict) spill_refs.push_back(store->append(tr.next, tr.next.hash()));
+      Node& added = nodes.push_back(
+          Node{evict ? State{} : std::move(tr.next),
+               static_cast<std::int64_t>(cur), std::move(tr.action), -1});
+      const State& committed = evict ? tr.next : added.state;
+      const std::size_t heap = committed.heap_bytes();
+      const std::size_t extra = (evict ? 0 : heap) +
+                                added.action.args.capacity() * sizeof(int);
       if (!sigma.identity()) renames.emplace(ni, std::move(sigma));
 
       for_members(live_tr, [&](std::size_t m) {
@@ -642,7 +495,7 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
         ++mem.stats.states;
         mem.stats.peak_bytes =
             std::max(mem.stats.peak_bytes, skeleton_bytes + mem.sim.bytes());
-        if (group[m].goal(added.state)) {
+        if (group[m].goal(committed)) {
           decide(m, Verdict::Reachable, static_cast<std::int64_t>(ni));
           return;
         }
@@ -650,10 +503,15 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
           decide(m, Verdict::ResourceLimit, -1);
           return;
         }
-        if (limits.max_bytes &&
+        if (limits.max_bytes && !evict &&
             skeleton_bytes + mem.sim.bytes() > limits.max_bytes) {
-          decide(m, Verdict::ResourceLimit, -1);
-          return;
+          if (!store) {
+            decide(m, Verdict::ResourceLimit, -1);
+            return;
+          }
+          // With a spill directory the search keeps going: the budget now
+          // governs residency, not completion.
+          first_evicted = ni + 1;
         }
         ++mem.frontier;
         mem.stats.peak_frontier =
@@ -663,8 +521,8 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
     }
 
     // A live member whose virtual frontier drained has no m-states left
-    // anywhere (children only come from m-parents): its standalone run
-    // exits its pop loop right here.
+    // anywhere (children only come from m-parents): its own run exits its
+    // pop loop right here.
     for_members(live_owners & live, [&](std::size_t m) {
       if (members[m].frontier == 0) decide(m, Verdict::Unreachable, -1);
     });
@@ -674,7 +532,7 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
   for_members(live,
               [&](std::size_t m) { decide(m, Verdict::Unreachable, -1); });
 
-  results[0].stats.fused_world_states = nodes.size();
+  if (n_members > 1) results[0].stats.fused_world_states = nodes.size();
   return results;
 }
 
@@ -735,10 +593,6 @@ std::vector<SearchResult> search_fused_escalating(
       acc.fused_world_states += st.fused_world_states;
       acc.fused_group_size = std::max(acc.fused_group_size,
                                       st.fused_group_size);
-      acc.engage_threshold = std::max(acc.engage_threshold,
-                                      st.engage_threshold);
-      acc.layers_engaged += st.layers_engaged;
-      acc.layers_serial += st.layers_serial;
     }
   }
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -809,17 +663,12 @@ void run_fused_task(std::span<const Query> queries,
   }
 
   if (!to_run.empty()) {
-    std::vector<SearchResult> computed;
-    if (to_run.size() == 1) {
-      // A lone representative gets the classic engine — no fusion overhead
-      // and trivially bit-identical to the unfused path.
-      computed.push_back(
-          search_escalating(queries[task[to_run[0]]], limits, escalation));
-    } else {
-      std::vector<Query> sub;
-      sub.reserve(to_run.size());
-      for (std::size_t i : to_run) sub.push_back(queries[task[i]]);
-      computed = detail::search_fused_escalating(sub, limits, escalation);
+    std::vector<Query> sub;
+    sub.reserve(to_run.size());
+    for (std::size_t i : to_run) sub.push_back(queries[task[i]]);
+    std::vector<SearchResult> computed =
+        detail::search_fused_escalating(sub, limits, escalation);
+    if (to_run.size() > 1) {
       for (SearchResult& r : computed)
         r.stats.fused_group_size = to_run.size();
       computed[0].stats.fused_searches_saved = to_run.size() - 1;
@@ -852,9 +701,6 @@ void run_fused_task(std::span<const Query> queries,
     copy.stats.fused_group_size = 0;
     copy.stats.fused_searches_saved = 0;
     copy.stats.fused_world_states = 0;
-    copy.stats.engage_threshold = 0;
-    copy.stats.layers_engaged = 0;
-    copy.stats.layers_serial = 0;
     results[task[i]] = std::move(copy);
   }
 }
@@ -871,8 +717,8 @@ std::vector<SearchResult> run_queries(std::span<const Query> queries,
   // Partition the batch into execution tasks. Queries sharing a world
   // signature AND an identical reduction plan fuse into one multi-goal
   // exploration (capped at 64 members — the membership-bitmask width);
-  // everything else — fusion disabled, spill-enabled batches, or
-  // unfingerprintable queries — stays a singleton on the classic path.
+  // everything else — spill-enabled batches or unfingerprintable queries —
+  // stays a singleton task.
   std::vector<std::vector<std::size_t>> tasks;
   {
     struct Group {
@@ -886,8 +732,7 @@ std::vector<SearchResult> run_queries(std::span<const Query> queries,
     for (std::size_t i = 0; i < queries.size(); ++i) {
       const Query& q = queries[i];
       std::optional<Fingerprint> sig;
-      if (limits.fused && !limits.spill_enabled() &&
-          fingerprint_query(q, limits))
+      if (!limits.spill_enabled() && fingerprint_query(q, limits))
         sig = world_signature(q, limits);
       if (!sig) {
         tasks.push_back({i});

@@ -130,20 +130,15 @@ struct SearchLimits {
   /// allocator-dependent, so byte-budget exhaustion is deterministic and
   /// search_escalating() can grow this budget geometrically like the others.
   std::size_t max_bytes = 0;
-  /// Worker threads *inside* one search (1 = the classic serial loop, the
-  /// default; 0 = hardware_concurrency). Any value yields bit-identical
-  /// verdicts, witnesses, and work counters: values != 1 run the layered
-  /// engine (rosa/frontier.h), which expands each BFS layer in parallel but
-  /// commits it through a deterministic serial replay in the exact order
-  /// the serial loop would have enumerated candidates.
-  unsigned search_threads = 1;
-  /// Directory for disk-spillable frontiers. When set together with a
-  /// max_bytes budget, a search whose node arena would exceed the budget
-  /// serializes cold states to versioned temp files under this directory
-  /// and streams them back per layer, so the byte budget bounds *resident*
+  /// Directory for disk-spillable frontiers (rosa/spill.h). When set
+  /// together with a max_bytes budget, a search whose node arena would
+  /// exceed the budget serializes every state it commits from then on to
+  /// versioned temp files under this directory and reads them back when
+  /// they are expanded or compared, so the byte budget bounds *resident*
   /// memory instead of total exploration — the search completes with the
   /// same verdict/witness it would have produced unconstrained, rather
-  /// than returning ResourceLimit. Empty = spill disabled.
+  /// than returning ResourceLimit. Empty = spill disabled. Spill-enabled
+  /// batches never fuse (run_queries).
   std::string spill_dir;
   /// Disable duplicate-state detection (ablation only; exponential blowup).
   bool no_dedup = false;
@@ -177,15 +172,6 @@ struct SearchLimits {
   /// with ResourceLimit. run_queries wires this up automatically for its
   /// deadline handling; callers can also supply their own flag.
   const std::atomic<bool>* cancel = nullptr;
-  /// Fused multi-goal search (run_queries only): group the batch by world
-  /// signature (fingerprint minus goal identity and message mask) and run
-  /// ONE exploration per group, deciding every goal of the group in a
-  /// single pass. Per-query verdicts, witnesses, work counters, and cache
-  /// entries are bit-identical to the unfused per-query runs
-  /// (tests/rosa_fused_diff_test.cpp); only the fused_* observability
-  /// counters differ, so the flag is NOT part of cache fingerprints. Set
-  /// false (`--no-fused-search`) for A/B ablation.
-  bool fused = true;
 
   bool has_deadline() const {
     return deadline != std::chrono::steady_clock::time_point{};
@@ -265,16 +251,6 @@ struct SearchStats {
   /// comparing against the sum of per-query `states` (which replay the
   /// standalone counts) measures the fused states-explored reduction.
   std::size_t fused_world_states = 0;
-  /// Layered-engine adaptive engagement (rosa/frontier.cpp): layers with
-  /// fewer parents than `engage_threshold` run the phases on the calling
-  /// thread alone instead of paying barrier + shard overhead on a tiny
-  /// frontier. Recorded only when the layered engine runs with >1 workers;
-  /// aggregated like the other shape figures (threshold by max, layer
-  /// counts by sum). Bit-identity of every other counter is unaffected —
-  /// the phase replay is worker-count-independent.
-  std::size_t engage_threshold = 0;
-  std::size_t layers_engaged = 0;   // layers expanded with the full worker set
-  std::size_t layers_serial = 0;    // layers below the threshold: inline
   /// States explored by the decisive (final) attempt. Equal to `states`
   /// except under escalation, where `states` accumulates work across every
   /// retry while this keeps the count of the attempt whose verdict the
@@ -324,23 +300,32 @@ struct SearchResult {
   std::string to_string() const;
 };
 
-/// Run the bounded search.
+/// Run the bounded search: detail::search_fused on a one-member group, the
+/// one exploration loop every query runs through.
 SearchResult search(const Query& query, const SearchLimits& limits = {});
 
 /// search() with adaptive budget escalation: on ResourceLimit, retry with
 /// geometrically grown limits per `policy` until a definite verdict, the
 /// round cap, or the batch deadline/cancel flag. The returned result is the
 /// decisive attempt's, except stats, which accumulate work across every
-/// attempt and record the retry count in stats.escalations.
+/// attempt and record the retry count in stats.escalations. This is
+/// detail::search_fused_escalating on a one-member group.
 SearchResult search_escalating(const Query& query, const SearchLimits& limits,
                                const EscalationPolicy& policy);
 
 /// Run a batch of independent queries, fanned out across `n_threads`
 /// workers (0 = hardware_concurrency). results[i] always corresponds to
 /// queries[i] regardless of completion order, and each individual search is
-/// single-threaded, so every result is bit-identical to a serial run —
-/// n_threads == 1 literally executes the serial loop. Exceptions from any
-/// query propagate to the caller.
+/// single-threaded, so every result is bit-identical to a serial run.
+/// Exceptions from any query propagate to the caller.
+///
+/// Queries sharing a world signature (fingerprint minus goal identity and
+/// message mask) and an identical reduction plan fuse into ONE multi-goal
+/// exploration (detail::search_fused); per-query verdicts, witnesses, work
+/// counters, and cache entries are bit-identical to per-query search()
+/// runs (tests/rosa_fused_diff_test.cpp) — only the fused_* observability
+/// counters differ. Spill-enabled batches and unfingerprintable queries run
+/// one query per exploration.
 ///
 /// `escalation` applies search_escalating() per query. When limits carries a
 /// deadline, the first worker to observe it expiring cancels the rest
@@ -362,35 +347,35 @@ std::vector<SearchResult> run_queries(std::span<const Query> queries,
 
 namespace detail {
 
-/// Fused multi-goal search: ONE exploration over a group of queries that
-/// share a world (initial state, pools, message list, attacker, checker
-/// identity) and differ only in goal and msg_mask. results[i] is
-/// bit-identical to search(group[i], limits) — verdict, witness, and every
-/// work counter — because each member's run is replayed exactly inside the
-/// shared exploration: a state belongs to member m iff its consumed-message
-/// set lies inside m's mask (an intrinsic property of the state, so the
-/// m-subsequence of the fused FIFO commit order IS m's standalone order,
-/// and dedup/collision decisions restricted to m's states match m's own
-/// seen-set), per-member frontier and arena-byte schedules are simulated
-/// against the serial engine's exact formulas, and each goal's first hit is
-/// recorded at its serial decisive rank. Decided goals retire from the
-/// live set; exploration ends when all are decided or the frontier drains.
+/// The exploration loop: ONE breadth-first search over a group of queries
+/// that share a world (initial state, pools, message list, attacker,
+/// checker identity) and differ only in goal and msg_mask. results[i] is
+/// bit-identical to running group[i] as a one-member group — verdict,
+/// witness, and every work counter — because each member's run is replayed
+/// exactly inside the shared exploration: a state belongs to member m iff
+/// its consumed-message set lies inside m's mask (an intrinsic property of
+/// the state, so the m-subsequence of the FIFO commit order IS m's
+/// standalone order, and dedup/collision decisions restricted to m's states
+/// match m's own seen-set), per-member frontier and arena-byte schedules
+/// are simulated against the one-member formulas, and each goal's first hit
+/// is recorded at its standalone decisive rank. Decided goals retire from
+/// the live set; exploration ends when all are decided or the frontier
+/// drains. A one-member group leaves every fused_* counter at 0.
 ///
 /// Preconditions (the run_queries grouping guarantees them; callers passing
 /// hand-built groups must too): every member yields the same ReductionPlan
 /// (same symmetry eligibility, identical independence tables — proper
-/// masks disable POR, so masked groups always qualify), spilling is off,
-/// and the group has at most 64 members. Dispatches to the layered engine
-/// when limits.search_threads != 1, with identical per-member results.
+/// masks disable POR, so masked groups always qualify), the group has at
+/// most 64 members, and only a one-member group may enable spilling.
 std::vector<SearchResult> search_fused(std::span<const Query> group,
                                        const SearchLimits& limits);
 
-/// search_fused + the per-member escalation ladder: a round re-runs ONLY
-/// the still-undecided (ResourceLimit) members with geometrically grown
-/// budgets — decided members keep their verdicts and witnesses from the
-/// round that decided them, which is exact because a definite verdict is a
+/// The escalation ladder: search_fused, then rounds that re-run ONLY the
+/// still-undecided (ResourceLimit) members with geometrically grown budgets
+/// — decided members keep their verdicts and witnesses from the round that
+/// decided them, which is exact because a definite verdict is a
 /// budget-monotone fact. Per-member stats accumulate across the rounds the
-/// member participated in, exactly like search_escalating.
+/// member participated in.
 std::vector<SearchResult> search_fused_escalating(
     std::span<const Query> group, const SearchLimits& limits,
     const EscalationPolicy& policy);

@@ -147,7 +147,7 @@ struct State {
   /// exposed so tests can assert successor states intern it.
   const std::shared_ptr<const WorldSkeleton>& world() const { return world_; }
   /// Attach an existing shared skeleton. States rehydrated from a spill
-  /// file (rosa/frontier.h) re-adopt the search's skeleton this way instead
+  /// file (rosa/spill.h) re-adopt the search's skeleton this way instead
   /// of each rebuilding a private copy; the skeleton is excluded from
   /// canonical()/hash(), so this never perturbs dedup identity.
   void set_world(std::shared_ptr<const WorldSkeleton> w) {

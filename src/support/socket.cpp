@@ -127,27 +127,19 @@ UnixListener::UnixListener(const std::string& path, int backlog) : path_(path) {
 
 UnixListener::~UnixListener() {
   shutdown();
-  for (int& fd : wake_pipe_)
-    if (fd >= 0) {
-      ::close(fd);
-      fd = -1;
-    }
+  ::close(fd_);
+  for (int fd : wake_pipe_) ::close(fd);
 }
 
 void UnixListener::shutdown() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-    ::unlink(path_.c_str());
-  }
-  if (wake_pipe_[1] >= 0) {
-    const char b = 0;
-    [[maybe_unused]] ssize_t n = ::write(wake_pipe_[1], &b, 1);
-  }
+  if (shut_down_.exchange(true)) return;
+  ::unlink(path_.c_str());  // no new clients can find the socket
+  const char b = 0;
+  [[maybe_unused]] ssize_t n = ::write(wake_pipe_[1], &b, 1);
 }
 
 std::optional<Socket> UnixListener::accept(int timeout_ms) {
-  if (fd_ < 0) return std::nullopt;
+  if (shut_down_.load()) return std::nullopt;
   pollfd ps[2] = {{fd_, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
   for (;;) {
     const int r = ::poll(ps, 2, timeout_ms);
@@ -158,7 +150,7 @@ std::optional<Socket> UnixListener::accept(int timeout_ms) {
     }
     break;
   }
-  if (ps[1].revents != 0 || fd_ < 0) return std::nullopt;  // shut down
+  if (ps[1].revents != 0 || shut_down_.load()) return std::nullopt;
   PA_FAULTPOINT("daemon.accept");
   for (;;) {
     const int c = ::accept(fd_, nullptr, nullptr);

@@ -10,6 +10,7 @@
 // server to reap one connection without dropping the rest.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <optional>
 #include <string>
@@ -71,14 +72,18 @@ class UnixListener {
   std::optional<Socket> accept(int timeout_ms);
 
   /// Wake any blocked accept() and make every future accept return nullopt.
+  /// Safe to call from any thread while another blocks in accept(); the
+  /// listening fd stays open until destruction, so it is never closed (and
+  /// its number never reused) under a concurrent poll.
   void shutdown();
 
   const std::string& path() const { return path_; }
 
  private:
   std::string path_;
-  int fd_ = -1;
+  int fd_ = -1;  // set by the constructor, closed by the destructor
   int wake_pipe_[2] = {-1, -1};  // self-pipe: shutdown() wakes poll()
+  std::atomic<bool> shut_down_{false};
 };
 
 /// Connect to a Unix-domain socket. Throws a Stage::Daemon StageError when

@@ -8,9 +8,8 @@
 // calling thread exactly as they would under inline execution.
 //
 // TaskGroup scopes a sub-batch onto a shared pool: each group has its own
-// completion barrier and error channel, so independent phases (e.g. the
-// layered ROSA engine's expand/dedup rounds) can share one pool without
-// their waits or failures interfering. The pool routes a grouped task's
+// completion barrier and error channel, so independent phases can share
+// one pool without their waits or failures interfering. The pool routes a grouped task's
 // completion — including a fault injected at the task boundary, before the
 // task body runs — to its group, never to the pool-level error slot.
 //

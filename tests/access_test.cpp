@@ -4,6 +4,8 @@
 // kernel and ROSA's rules, so their fidelity matters doubly.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "os/access.h"
 
 namespace pa::os {
@@ -219,6 +221,17 @@ struct DacCase {
   AccessKind kind;
   bool expect;
 };
+
+// Without this gtest prints a DacCase byte by byte, padding included, and
+// the uninitialized padding would leak into the ctest name that CMake's test
+// discovery derives from it.
+void PrintTo(const DacCase& c, std::ostream* os) {
+  static const char* const kKinds[] = {"read", "write", "exec"};
+  char mode[8];
+  std::snprintf(mode, sizeof mode, "%04o", static_cast<unsigned>(c.mode));
+  *os << "uid" << c.uid << "_gid" << c.gid << "_mode" << mode << '_'
+      << kKinds[static_cast<int>(c.kind)] << (c.expect ? "_allow" : "_deny");
+}
 
 class DacMatrix : public ::testing::TestWithParam<DacCase> {};
 

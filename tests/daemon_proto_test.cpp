@@ -158,7 +158,6 @@ TEST(MessageTest, JobRequestRoundTripsEveryField) {
   req.name = "demo";
   req.max_states = 123'456;
   req.max_bytes = 789;
-  req.search_threads = 3;
   req.rosa_threads = 2;
   req.escalate_rounds = 4;
   req.deadline_secs = 1.5;
@@ -172,7 +171,6 @@ TEST(MessageTest, JobRequestRoundTripsEveryField) {
   EXPECT_EQ(back.name, req.name);
   EXPECT_EQ(back.max_states, req.max_states);
   EXPECT_EQ(back.max_bytes, req.max_bytes);
-  EXPECT_EQ(back.search_threads, req.search_threads);
   EXPECT_EQ(back.rosa_threads, req.rosa_threads);
   EXPECT_EQ(back.escalate_rounds, req.escalate_rounds);
   EXPECT_DOUBLE_EQ(back.deadline_secs, req.deadline_secs);

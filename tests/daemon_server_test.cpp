@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "daemon/server.h"
 #include "privanalyzer/pipeline.h"
 #include "support/diagnostics.h"
+#include "test_tmpdir.h"
 
 namespace pa::daemon {
 namespace {
@@ -423,8 +425,8 @@ TEST_F(DaemonServerTest, IdleConnectionsAreReaped) {
 }
 
 TEST_F(DaemonServerTest, WarmRestartServesIdenticalResultsFromTheCacheFile) {
-  const std::string cache_file = ::testing::TempDir() + "/pad_restart.cache";
-  std::remove(cache_file.c_str());
+  const test_util::ScopedTestDir dir;
+  const std::string cache_file = dir.file("pad_restart.cache");
 
   JobRequest req;
   req.kind = "builtin";
@@ -457,7 +459,23 @@ TEST_F(DaemonServerTest, WarmRestartServesIdenticalResultsFromTheCacheFile) {
   EXPECT_EQ(client.wait_result(s.job_id).body, first_body);
 
   stop();
-  std::remove(cache_file.c_str());
+}
+
+// request_shutdown runs off the serving thread, so the listener is shut
+// down while run() may be blocked in accept(): the shutdown must wake it
+// (nullopt) without racing on the listening fd (the TSan leg runs this).
+TEST(UnixListenerTest, ShutdownFromAnotherThreadWakesABlockedAccept) {
+  const test_util::ScopedTestDir dir;
+  support::UnixListener listener(dir.file("l.sock"));
+  std::optional<support::Socket> accepted;
+  std::thread acceptor([&] { accepted = listener.accept(-1); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  listener.shutdown();
+  acceptor.join();
+  EXPECT_FALSE(accepted.has_value());
+  // Every later accept returns at once, and the socket path is gone.
+  EXPECT_FALSE(listener.accept(-1).has_value());
+  EXPECT_THROW(support::connect_unix(listener.path()), StageError);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "privanalyzer/pipeline.h"
 #include "support/faultpoint.h"
 #include "support/thread_pool.h"
+#include "test_tmpdir.h"
 
 namespace pa {
 namespace {
@@ -99,15 +100,16 @@ entry:
 }
 )";
 
-std::string write_soak_program() {
-  std::string path = ::testing::TempDir() + "/soakdemo.pir";
+std::string write_soak_program(const test_util::ScopedTestDir& dir) {
+  std::string path = dir.file("soakdemo.pir");
   std::ofstream out(path);
   out << kProgram;
   return path;
 }
 
 TEST_F(FaultPointTest, SoakEveryPointIsolatedAndDiagnosed) {
-  const std::string path = write_soak_program();
+  const test_util::ScopedTestDir dir;
+  const std::string path = write_soak_program(dir);
   privanalyzer::PipelineOptions opts;
   opts.rosa_limits.max_states = 10'000;
   // Force the thread-pool path so the task-boundary point is exercised (the
@@ -115,15 +117,14 @@ TEST_F(FaultPointTest, SoakEveryPointIsolatedAndDiagnosed) {
   opts.rosa_threads = 2;
   // A persistent cache file makes the pipeline reach rosa.cache_load (a
   // missing file is a clean cold start, so the unarmed runs stay warning-free).
-  // Remove any leftover from a previous run first: a warm cache would satisfy
-  // the whole query matrix without ever reaching the armed rosa.search point.
-  opts.rosa_cache_file = ::testing::TempDir() + "/soakdemo.rosa-cache";
-  std::remove(opts.rosa_cache_file.c_str());
+  // The test's own fresh directory matters: a warm cache would satisfy the
+  // whole query matrix without ever reaching the armed rosa.search point.
+  opts.rosa_cache_file = dir.file("soakdemo.rosa-cache");
   // Spill-enabled limits make every search construct a SpillStore, whose
   // eager directory creation is the first rosa.spill_io site — reachable
   // even for this syscall-free program's zero-successor searches. Spilling
   // preserves verdicts, so the unarmed runs behave as before.
-  opts.rosa_limits.spill_dir = ::testing::TempDir();
+  opts.rosa_limits.spill_dir = dir.path();
   opts.rosa_limits.max_bytes = 1;
 
   for (const std::string& point : fp::registered_points()) {

@@ -18,6 +18,7 @@
 #include "rosa/query.h"
 #include "rosa_test_util.h"
 #include "support/faultpoint.h"
+#include "test_tmpdir.h"
 
 namespace pa::rosa {
 namespace {
@@ -331,9 +332,8 @@ TEST(QueryCacheTest, CancelledSearchesAreNeverStored) {
 
 class PersistentCacheTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/rosa_cache_test.cache";
-
-  void TearDown() override { std::remove(path_.c_str()); }
+  test_util::ScopedTestDir dir_;
+  std::string path_ = dir_.file("rosa_cache_test.cache");
 
   std::string read_file() {
     std::ifstream in(path_);
@@ -524,9 +524,8 @@ TEST(CachePipelineTest, SharedCacheMakesRepeatAnalysesAllHits) {
 }
 
 TEST(CachePipelineTest, PersistentFileWarmsARepeatRun) {
-  const std::string path =
-      ::testing::TempDir() + "/cache_pipeline_test.cache";
-  std::remove(path.c_str());
+  const test_util::ScopedTestDir dir;
+  const std::string path = dir.file("cache_pipeline_test.cache");
   programs::ProgramSpec spec = programs::make_passwd();
 
   privanalyzer::PipelineOptions cold = pipeline_options(true, 4, 150'000);

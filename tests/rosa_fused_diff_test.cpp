@@ -1,14 +1,15 @@
-// Differential test for the fused multi-goal engine (rosa::detail::
+// Differential test for fused multi-goal search (rosa::detail::
 // search_fused, reached through rosa::run_queries' world-signature
 // grouping): one shared exploration answering all four attacks of an epoch
-// must be indistinguishable — bit for bit — from four standalone searches.
-// The full Table-III matrix is diffed fused-vs-unfused at search_threads
-// ∈ {1, 4}, cached and uncached, reductions on and off, down to the
-// counters the goldens deliberately omit (peak_bytes, state_bytes,
+// must be indistinguishable — bit for bit — from four one-query searches.
+// The full Table-III matrix is diffed run_queries-vs-per-query-search() on
+// 1 and 4 matrix workers, cached and uncached, reductions on and off, down
+// to the counters the goldens deliberately omit (peak_bytes, state_bytes,
 // decisive_states). Fused witnesses must replay on the SimOS kernel, a
 // mixed-attacker batch must NOT fuse across world signatures, spilling
-// must disable fusion entirely, and the escalation ladder must re-run only
-// still-undecided goals.
+// must disable fusion entirely, a one-member group must leave every fused_*
+// counter at 0, and the escalation ladder must re-run only still-undecided
+// goals.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,6 +21,7 @@
 #include "rosa/cache.h"
 #include "rosa/replay.h"
 #include "rosa_test_util.h"
+#include "test_tmpdir.h"
 
 namespace pa {
 namespace {
@@ -38,24 +40,27 @@ void expect_identical_runs(const rosa::SearchResult& unfused,
   EXPECT_EQ(unfused.stats.spill_bytes, fused.stats.spill_bytes);
 }
 
-void expect_fused_matches_unfused(unsigned search_threads, bool cached,
+/// The unfused oracle: every query as its own one-member search.
+std::vector<rosa::SearchResult> search_each(
+    const std::vector<rosa::Query>& queries,
+    const rosa::SearchLimits& limits) {
+  std::vector<rosa::SearchResult> out;
+  for (const rosa::Query& q : queries) out.push_back(rosa::search(q, limits));
+  return out;
+}
+
+void expect_fused_matches_unfused(unsigned n_threads, bool cached,
                                   bool reduction) {
   const Matrix m = rosa_test::build_matrix();
 
   rosa::SearchLimits limits = rosa_test::table3_limits();
-  limits.search_threads = search_threads;
   limits.reduction = reduction;
-
-  rosa::SearchLimits unfused_limits = limits;
-  unfused_limits.fused = false;
   const std::vector<rosa::SearchResult> reference =
-      rosa::run_queries(m.queries, unfused_limits, /*n_threads=*/1, {},
-                        nullptr);
+      search_each(m.queries, limits);
 
   rosa::QueryCache cache;
-  const std::vector<rosa::SearchResult> fused =
-      rosa::run_queries(m.queries, limits, /*n_threads=*/1, {},
-                        cached ? &cache : nullptr);
+  const std::vector<rosa::SearchResult> fused = rosa::run_queries(
+      m.queries, limits, n_threads, {}, cached ? &cache : nullptr);
 
   ASSERT_EQ(fused.size(), reference.size());
   std::size_t searches_saved = 0;
@@ -166,11 +171,9 @@ TEST(FusedDiffTest, MixedAttackerBatchFusesOnlyWithinWorlds) {
       queries.push_back(attacks::build_attack_query(a.id, in));
   }
 
-  rosa::SearchLimits limits = rosa_test::table3_limits();
-  rosa::SearchLimits unfused_limits = limits;
-  unfused_limits.fused = false;
+  const rosa::SearchLimits limits = rosa_test::table3_limits();
   const std::vector<rosa::SearchResult> reference =
-      rosa::run_queries(queries, unfused_limits, 1, {}, nullptr);
+      search_each(queries, limits);
   const std::vector<rosa::SearchResult> fused =
       rosa::run_queries(queries, limits, 1, {}, nullptr);
 
@@ -186,8 +189,8 @@ TEST(FusedDiffTest, MixedAttackerBatchFusesOnlyWithinWorlds) {
   EXPECT_EQ(saved, 6u);  // two groups, each fanning 4 goals into 1 search
 }
 
-// Spilling is frontier-order-dependent in ways the per-member replay does
-// not model, so spill-enabled limits opt out of fusion wholesale.
+// Only a one-member group can spill (the per-member replay does not model
+// evicted states), so spill-enabled limits opt out of fusion wholesale.
 TEST(FusedDiffTest, SpillEnabledLimitsDoNotFuse) {
   const attacks::ScenarioInput in =
       handmade_epoch(rosa::AttackerModel::Full);
@@ -195,8 +198,9 @@ TEST(FusedDiffTest, SpillEnabledLimitsDoNotFuse) {
   for (const attacks::AttackInfo& a : attacks::modeled_attacks())
     queries.push_back(attacks::build_attack_query(a.id, in));
 
+  const test_util::ScopedTestDir dir;
   rosa::SearchLimits limits = rosa_test::table3_limits();
-  limits.spill_dir = ::testing::TempDir();
+  limits.spill_dir = dir.path();
   limits.max_bytes = std::size_t{1} << 30;  // never actually spills
   ASSERT_TRUE(limits.spill_enabled());
 
@@ -207,6 +211,34 @@ TEST(FusedDiffTest, SpillEnabledLimitsDoNotFuse) {
     EXPECT_EQ(r.stats.fused_searches_saved, 0u);
     EXPECT_EQ(r.stats.fused_world_states, 0u);
   }
+}
+
+// search() is the multi-goal loop on a one-member group: nothing is shared,
+// so every fused_* counter stays 0 — through search(), the escalation
+// ladder, the loop itself, and a batch whose only query forms its own
+// group — and the FSaved/FStates columns and CSV export read as before.
+TEST(FusedDiffTest, OneMemberGroupLeavesFusedCountersAtZero) {
+  const rosa::Query slow = rosa_test::unreachable_query(4);
+  const rosa::SearchLimits limits = rosa_test::states_budget(4);
+  const rosa::EscalationPolicy policy{/*rounds=*/2, /*factor=*/2.0};
+  const std::vector<rosa::Query> one = {slow};
+  std::vector<rosa::SearchResult> runs = {
+      rosa::search(slow, limits),
+      rosa::search_escalating(slow, limits, policy),
+      rosa::detail::search_fused(one, limits)[0],
+      rosa::detail::search_fused_escalating(one, limits, policy)[0],
+      rosa::run_queries(one, limits, 1, policy, nullptr)[0],
+  };
+  EXPECT_GT(runs[1].stats.escalations, 0u);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(runs[i].stats.fused_group_size, 0u);
+    EXPECT_EQ(runs[i].stats.fused_searches_saved, 0u);
+    EXPECT_EQ(runs[i].stats.fused_world_states, 0u);
+  }
+  rosa_test::expect_same_work(runs[0], runs[2]);
+  rosa_test::expect_same_work(runs[1], runs[3]);
+  rosa_test::expect_same_work(runs[1], runs[4]);
 }
 
 // Escalation regression: two goals over one shared world, where one decides
@@ -253,19 +285,32 @@ TEST(FusedDiffTest, EscalationRerunsOnlyUndecidedGoals) {
   EXPECT_EQ(batch[0].stats.fused_group_size, 2u);
 }
 
-// Fused and unfused pipelines agree on every verdict cell and vulnerable
-// fraction — the paper-facing numbers, not just the engine counters.
+// The fused pipeline agrees with per-attack searches (analyze_epoch, one
+// search per cell) on every verdict cell and vulnerable fraction — the
+// paper-facing numbers, not just the engine counters.
 TEST(FusedDiffTest, PipelineFractionsMatchUnfused) {
   privanalyzer::PipelineOptions fused_opts;
   fused_opts.rosa_limits = rosa_test::table3_limits();
   fused_opts.rosa_threads = 1;
-  privanalyzer::PipelineOptions unfused_opts = fused_opts;
-  unfused_opts.rosa_limits.fused = false;
 
   const std::vector<privanalyzer::ProgramAnalysis> fused =
       privanalyzer::analyze_baseline(fused_opts);
-  const std::vector<privanalyzer::ProgramAnalysis> unfused =
-      privanalyzer::analyze_baseline(unfused_opts);
+  const std::vector<programs::ProgramSpec> specs =
+      programs::all_baseline_programs();
+  std::vector<privanalyzer::ProgramAnalysis> unfused = fused;
+  ASSERT_EQ(specs.size(), unfused.size());
+  for (std::size_t p = 0; p < unfused.size(); ++p) {
+    const std::vector<std::string> syscalls = specs[p].syscalls_used();
+    const std::vector<chronopriv::EpochRow>& rows = unfused[p].chrono.rows;
+    ASSERT_EQ(rows.size(), unfused[p].verdicts.size());
+    for (std::size_t e = 0; e < rows.size(); ++e)
+      unfused[p].verdicts[e] = attacks::analyze_epoch(
+          rows[e],
+          attacks::scenario_from_epoch(rows[e], syscalls,
+                                       specs[p].scenario_extra_users,
+                                       specs[p].scenario_extra_groups),
+          fused_opts.rosa_limits);
+  }
   ASSERT_EQ(fused.size(), unfused.size());
   for (std::size_t p = 0; p < fused.size(); ++p) {
     SCOPED_TRACE(fused[p].program);

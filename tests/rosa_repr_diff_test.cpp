@@ -1,11 +1,14 @@
-// Differential test for the state-representation refactor: the full
-// Table-III query matrix (5 programs x epochs x 4 attacks, 96 queries) must
-// produce bit-identical fingerprints, verdicts, work counters, witnesses,
-// and vulnerable-fractions to the goldens captured from the seed build
-// (tests/golden/rosa_table3_seed.txt) — serial and 4-thread, uncached and
-// cached. The searches run with SearchLimits::check_hashes, so every
-// incrementally maintained digest is cross-checked against a from-scratch
-// State::full_hash() along the way.
+// Golden differential tests: the full Table-III query matrix (5 programs x
+// epochs x 4 attacks, 96 queries, unreduced) must produce bit-identical
+// fingerprints, verdicts, work counters, witnesses, and vulnerable-fractions
+// to the goldens captured from the seed build
+// (tests/golden/rosa_table3_seed.txt), and the Table-V matrix (refactored
+// passwd and su, 48 queries, reduced) to tests/golden/rosa_table5.txt,
+// captured from per-query searches before standalone search was folded
+// into the multi-goal loop — serial and 4-thread, uncached and cached, and
+// per-query search(). The searches run with SearchLimits::check_hashes, so
+// every incrementally maintained digest is cross-checked against a
+// from-scratch State::full_hash() along the way.
 //
 // The golden matrix machinery (build_matrix, table3_limits, render_line,
 // load_golden) is shared with the other differential suites via
@@ -25,22 +28,36 @@ namespace {
 using rosa_test::Golden;
 using rosa_test::Matrix;
 
+void expect_lines_match(const Golden& golden, const Matrix& m,
+                        const std::vector<rosa::SearchResult>& results,
+                        const rosa::SearchLimits& limits,
+                        const std::string& mode) {
+  ASSERT_EQ(m.queries.size(), golden.qlines.size());
+  ASSERT_EQ(results.size(), golden.qlines.size());
+  for (std::size_t i = 0; i < m.queries.size(); ++i)
+    EXPECT_EQ(rosa_test::render_line(m.queries[i], results[i], limits),
+              golden.qlines[i])
+        << m.labels[i] << " (" << mode << ")";
+}
+
 void expect_matches_golden(unsigned n_threads, bool cached) {
   const Golden golden = rosa_test::load_golden();
   ASSERT_EQ(golden.qlines.size(), 96u) << "golden file out of shape";
   const Matrix m = rosa_test::build_matrix();
-  ASSERT_EQ(m.queries.size(), golden.qlines.size());
-
   const rosa::SearchLimits limits = rosa_test::table3_limits();
   rosa::QueryCache cache;
-  std::vector<rosa::SearchResult> results =
-      rosa::run_queries(m.queries, limits, n_threads, {},
-                        cached ? &cache : nullptr);
-  for (std::size_t i = 0; i < m.queries.size(); ++i)
-    EXPECT_EQ(rosa_test::render_line(m.queries[i], results[i], limits),
-              golden.qlines[i])
-        << m.labels[i] << " (threads=" << n_threads
-        << " cached=" << cached << ")";
+  expect_lines_match(golden, m,
+                     rosa::run_queries(m.queries, limits, n_threads, {},
+                                       cached ? &cache : nullptr),
+                     limits,
+                     str::cat("threads=", n_threads, " cached=", cached));
+}
+
+Golden table5_golden() {
+  const Golden golden = rosa_test::load_golden("rosa_table5.txt");
+  EXPECT_EQ(golden.qlines.size(), 48u) << "golden file out of shape";
+  EXPECT_EQ(golden.fractions.size(), 2u) << "golden file out of shape";
+  return golden;
 }
 
 TEST(ReprDiffTest, SerialUncachedMatchesSeedGoldens) {
@@ -69,13 +86,46 @@ TEST(ReprDiffTest, VulnerableFractionsMatchSeedGoldens) {
   std::vector<privanalyzer::ProgramAnalysis> analyses =
       privanalyzer::analyze_baseline(full);
   ASSERT_EQ(analyses.size(), golden.fractions.size());
-  for (std::size_t i = 0; i < analyses.size(); ++i) {
-    const privanalyzer::ProgramAnalysis& a = analyses[i];
-    std::string line = str::cat("f ", a.program);
-    for (std::size_t atk = 0; atk < 4; ++atk)
-      line += str::cat(" ", str::fixed(a.vulnerable_fraction(atk), 6));
-    EXPECT_EQ(line, golden.fractions[i]);
+  for (std::size_t i = 0; i < analyses.size(); ++i)
+    EXPECT_EQ(rosa_test::fraction_line(analyses[i]), golden.fractions[i]);
+}
+
+TEST(ReprDiffTest, TableFivePerQuerySearchMatchesGoldens) {
+  const Golden golden = table5_golden();
+  const Matrix m = rosa_test::build_table5_matrix();
+  const rosa::SearchLimits limits = rosa_test::table5_limits();
+  std::vector<rosa::SearchResult> results;
+  for (const rosa::Query& q : m.queries)
+    results.push_back(rosa::search(q, limits));
+  expect_lines_match(golden, m, results, limits, "search()");
+}
+
+TEST(ReprDiffTest, TableFiveBatchMatchesGoldens) {
+  const Golden golden = table5_golden();
+  const Matrix m = rosa_test::build_table5_matrix();
+  const rosa::SearchLimits limits = rosa_test::table5_limits();
+  for (unsigned n_threads : {1u, 4u}) {
+    for (bool cached : {false, true}) {
+      rosa::QueryCache cache;
+      expect_lines_match(golden, m,
+                         rosa::run_queries(m.queries, limits, n_threads, {},
+                                           cached ? &cache : nullptr),
+                         limits,
+                         str::cat("threads=", n_threads, " cached=", cached));
+    }
   }
+}
+
+TEST(ReprDiffTest, TableFiveVulnerableFractionsMatchGoldens) {
+  const Golden golden = table5_golden();
+  privanalyzer::PipelineOptions full;
+  full.rosa_limits = rosa_test::table5_limits();
+  full.rosa_threads = 1;
+  const std::vector<privanalyzer::ProgramAnalysis> analyses =
+      privanalyzer::analyze_refactored(full);
+  ASSERT_EQ(analyses.size(), golden.fractions.size());
+  for (std::size_t i = 0; i < analyses.size(); ++i)
+    EXPECT_EQ(rosa_test::fraction_line(analyses[i]), golden.fractions[i]);
 }
 
 }  // namespace

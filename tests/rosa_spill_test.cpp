@@ -1,9 +1,9 @@
-// Tests for the disk-spillable frontier (rosa/frontier.h): canonical-text
+// Tests for the disk-spillable frontier (rosa/spill.h): canonical-text
 // round-tripping, the chunked SpillStore/SpillReader mechanics (atomic
-// publish, multi-chunk reads), corruption robustness (truncated, tampered,
-// stale-version chunks raise structured StageErrors instead of wrong
-// states), temp-directory cleanup on every exit path, and end-to-end
-// equality of spill-forced searches — including threaded ones — against
+// publish, multi-chunk reads, reads from the open chunk), corruption
+// robustness (truncated, tampered, stale-version chunks raise structured
+// StageErrors instead of wrong states), temp-directory cleanup on every
+// exit path, and end-to-end equality of spill-forced searches against
 // unconstrained in-memory runs.
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "rosa/frontier.h"
+#include "rosa/spill.h"
 #include "rosa/query.h"
 #include "rosa_test_util.h"
 #include "support/diagnostics.h"
@@ -265,32 +265,80 @@ TEST_F(SpillTest, StoreRemovesItsDirectoryOnEveryExitPath) {
 
 // --- End-to-end spill-forced searches ---------------------------------------
 
-TEST_F(SpillTest, SpilledSearchesMatchInMemoryRunsSerialAndThreaded) {
+TEST_F(SpillTest, StoreServesFramesOfTheOpenChunkBeforeFlush) {
+  const State st = rich_state();
+  SpillStore store(root_);
+  const SpillStore::Ref ref = store.append(st, st.hash());
+  ASSERT_EQ(ref.chunk, store.chunks_written());  // still unpublished
+  SpillReader reader(store);
+  EXPECT_EQ(reader.load(ref, st.world()).canonical(), st.canonical());
+  // Publishing moves the frame to disk at the same ref.
+  store.flush();
+  EXPECT_EQ(reader.load(ref, st.world()).canonical(), st.canonical());
+}
+
+TEST_F(SpillTest, SpilledSearchesMatchInMemoryRuns) {
   // Unreachable goal: the full 256-state space is explored, so a small byte
-  // budget forces spilling over many layers (one chunk per layer: a
+  // budget forces spilling over many layers (about one chunk per layer: a
   // multi-round spill).
   const Query q = rosa_test::unreachable_query(8);
   const SearchResult full = search(q, {});
   ASSERT_EQ(full.verdict, Verdict::Unreachable);
 
-  for (unsigned workers : {1u, 4u}) {
-    SCOPED_TRACE("search_threads=" + std::to_string(workers));
-    SearchLimits lim;
-    lim.max_bytes = full.stats.peak_bytes / 8;
-    ASSERT_GT(lim.max_bytes, 0u);
-    lim.spill_dir = root_;
-    lim.search_threads = workers;
-    const SearchResult spilled = search(q, lim);
-    EXPECT_EQ(spilled.verdict, full.verdict);
-    EXPECT_EQ(spilled.stats.states, full.stats.states);
-    EXPECT_EQ(spilled.stats.transitions, full.stats.transitions);
-    EXPECT_EQ(spilled.stats.dedup_hits, full.stats.dedup_hits);
-    EXPECT_EQ(spilled.stats.peak_frontier, full.stats.peak_frontier);
-    EXPECT_EQ(spilled.stats.state_bytes, full.stats.state_bytes);
-    EXPECT_GT(spilled.stats.spilled_states, 0u);
-    EXPECT_GT(spilled.stats.spill_bytes, 0u);
-  }
+  SearchLimits lim;
+  lim.max_bytes = full.stats.peak_bytes / 8;
+  ASSERT_GT(lim.max_bytes, 0u);
+  lim.spill_dir = root_;
+  const SearchResult spilled = search(q, lim);
+  EXPECT_EQ(spilled.verdict, full.verdict);
+  EXPECT_EQ(spilled.stats.states, full.stats.states);
+  EXPECT_EQ(spilled.stats.transitions, full.stats.transitions);
+  EXPECT_EQ(spilled.stats.dedup_hits, full.stats.dedup_hits);
+  EXPECT_EQ(spilled.stats.peak_frontier, full.stats.peak_frontier);
+  EXPECT_EQ(spilled.stats.state_bytes, full.stats.state_bytes);
+  EXPECT_GT(spilled.stats.spilled_states, 0u);
+  EXPECT_GT(spilled.stats.spill_bytes, 0u);
   // Every per-search spill directory was cleaned up.
+  EXPECT_TRUE(leftover_dirs().empty());
+}
+
+TEST_F(SpillTest, PopsAndChainWalksReachFramesAppendedSinceTheLastFlush) {
+  // Every state is evicted from the first layer on, so each BFS layer's
+  // first pop reaches a frame appended since the last flush. Equal states
+  // consume equally many messages, so every dedup probe (two orders of
+  // opening the same files) walks to a frame of the layer under
+  // construction, still unflushed; the constant hash_override run puts
+  // every state on one chain, so every probe walks through such frames.
+  Query q = rosa_test::open_query(8, 0600, goal_proc_terminated(1));
+  q.goal = [](const State& st) { return st.procs[0].rdfset.size() == 8; };
+  for (bool one_chain : {false, true}) {
+    SCOPED_TRACE(one_chain ? "constant hash" : "state hash");
+    SearchLimits mem;
+    if (one_chain) mem.hash_override = [](const State&) { return 1ull; };
+    const SearchResult full = search(q, mem);
+    ASSERT_EQ(full.verdict, Verdict::Reachable);
+    ASSERT_GT(full.stats.dedup_hits, 0u);
+
+    SearchLimits lim = mem;
+    lim.max_bytes = 1;
+    lim.spill_dir = root_;
+    const SearchResult spilled = search(q, lim);
+    // Verdict, witness and every counter but the spill figures and wall
+    // time match. peak_bytes is the resident footprint, which eviction
+    // exists to shrink, so it is only bounded here.
+    rosa_test::expect_same_work(full, spilled);
+    EXPECT_EQ(spilled.stats.state_bytes, full.stats.state_bytes);
+    EXPECT_EQ(spilled.stats.decisive_states, full.stats.decisive_states);
+    EXPECT_EQ(spilled.stats.fused_group_size, 0u);
+    EXPECT_EQ(spilled.stats.fused_searches_saved, 0u);
+    EXPECT_EQ(spilled.stats.fused_world_states, 0u);
+    EXPECT_EQ(spilled.stats.cache_hits + spilled.stats.cache_misses +
+                  spilled.stats.cache_joins,
+              0u);
+    EXPECT_LT(spilled.stats.peak_bytes, full.stats.peak_bytes);
+    EXPECT_EQ(spilled.stats.spilled_states, full.stats.states - 2)
+        << "everything after the root and the first child is evicted";
+  }
   EXPECT_TRUE(leftover_dirs().empty());
 }
 

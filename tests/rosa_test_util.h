@@ -1,10 +1,10 @@
-// Shared fixtures for the ROSA differential test suites: the Table-III golden
-// matrix (query construction, limits, rendered line format, golden loader)
-// and the small handmade open-file queries with deterministic budgets. The
-// repr-diff, cache, parallel-diff, and intra-parallel-diff suites all compare
-// engines against the same seed capture, so the fixture lives once here —
-// a drift between two copies of build_matrix() would silently weaken the
-// differential guarantee.
+// Shared fixtures for the ROSA differential test suites: the Table-III and
+// Table-V golden matrices (query construction, limits, rendered line format,
+// golden loader) and the small handmade open-file queries with
+// deterministic budgets. The repr-diff, cache, parallel-diff, fused-diff and
+// reduction-diff suites all compare engines against the same captures, so
+// the fixture lives once here — a drift between two copies of
+// build_matrix() would silently weaken the differential guarantee.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 
 #include "attacks/scenario.h"
 #include "privanalyzer/efficacy.h"
+#include "programs/world.h"
 #include "rosa/fingerprint.h"
 #include "rosa/query.h"
 #include "rosa/search.h"
@@ -24,7 +25,7 @@
 
 namespace pa::rosa_test {
 
-// --- Table-III golden matrix (seed capture in tests/golden/) ----------------
+// --- Golden matrices (captures in tests/golden/) -----------------------------
 
 struct Golden {
   std::vector<std::string> qlines;     // normalized "q fp verdict ..." lines
@@ -44,9 +45,10 @@ inline std::string normalize(const std::string& line) {
   return out;
 }
 
-inline Golden load_golden() {
-  const std::string path =
-      std::string(PA_SOURCE_DIR) + "/tests/golden/rosa_table3_seed.txt";
+/// `file` names a capture under tests/golden/: rosa_table3_seed.txt (Table
+/// III, unreduced) or rosa_table5.txt (Table V, reduced).
+inline Golden load_golden(const std::string& file = "rosa_table3_seed.txt") {
+  const std::string path = std::string(PA_SOURCE_DIR) + "/tests/golden/" + file;
   std::ifstream in(path);
   EXPECT_TRUE(in) << "missing golden file " << path;
   Golden g;
@@ -63,16 +65,11 @@ struct Matrix {
   std::vector<std::string> labels;
 };
 
-// The exact construction the seed capture used: every (program, epoch,
-// attack) cell of Table III.
-inline Matrix build_matrix() {
-  privanalyzer::PipelineOptions chrono_only;
-  chrono_only.run_rosa = false;
-  std::vector<privanalyzer::ProgramAnalysis> analyses =
-      privanalyzer::analyze_baseline(chrono_only);
-  std::vector<programs::ProgramSpec> specs =
-      programs::all_baseline_programs();
-
+// Every (program, epoch, attack) cell of a program set, in program, epoch,
+// attack order; `analyses` are ChronoPriv-only runs of `specs`.
+inline Matrix build_matrix(
+    const std::vector<programs::ProgramSpec>& specs,
+    const std::vector<privanalyzer::ProgramAnalysis>& analyses) {
   Matrix m;
   for (std::size_t p = 0; p < specs.size(); ++p) {
     const auto syscalls = specs[p].syscalls_used();
@@ -90,6 +87,25 @@ inline Matrix build_matrix() {
   return m;
 }
 
+inline privanalyzer::PipelineOptions chrono_only() {
+  privanalyzer::PipelineOptions opts;
+  opts.run_rosa = false;
+  return opts;
+}
+
+// The exact construction the seed capture used: every cell of Table III.
+inline Matrix build_matrix() {
+  return build_matrix(programs::all_baseline_programs(),
+                      privanalyzer::analyze_baseline(chrono_only()));
+}
+
+// Every cell of Table V: the refactored passwd and su.
+inline Matrix build_table5_matrix() {
+  return build_matrix(
+      {programs::make_passwd_refactored(), programs::make_su_refactored()},
+      privanalyzer::analyze_refactored(chrono_only()));
+}
+
 inline rosa::SearchLimits table3_limits() {
   rosa::SearchLimits limits;
   limits.max_states = 1'000'000;
@@ -100,6 +116,24 @@ inline rosa::SearchLimits table3_limits() {
   // reduced engine agrees on every verdict and fraction.
   limits.reduction = false;
   return limits;
+}
+
+// Table V runs the default reduced engine: unreduced, the refactored
+// programs' wildcard pools blow the space up, and the capture pins the
+// symmetry + partial-order reduction path that Table III's does not.
+inline rosa::SearchLimits table5_limits() {
+  rosa::SearchLimits limits;
+  limits.max_states = 1'000'000;
+  limits.check_hashes = true;
+  return limits;
+}
+
+// The "f program v1 v2 v3 v4" fraction line of one analysed program.
+inline std::string fraction_line(const privanalyzer::ProgramAnalysis& a) {
+  std::string line = str::cat("f ", a.program);
+  for (std::size_t atk = 0; atk < attacks::modeled_attacks().size(); ++atk)
+    line += str::cat(" ", str::fixed(a.vulnerable_fraction(atk), 6));
+  return line;
 }
 
 // The golden line format. hash_collisions and byte counters are deliberately

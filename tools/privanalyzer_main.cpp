@@ -10,11 +10,7 @@
 //     --rosa-threads N     worker threads for the (epoch x attack) query
 //                          matrix (0 = hardware_concurrency, 1 = serial;
 //                          verdicts are identical for every N)
-//     --search-threads N   worker threads INSIDE each ROSA search
-//                          (work-stealing layered BFS; 0 =
-//                          hardware_concurrency, default 1 = classic serial
-//                          loop; results are bit-identical for every N)
-//     --spill-dir DIR      with --max-bytes: spill cold frontier states to
+//     --spill-dir DIR      with --max-bytes: spill search states to
 //                          chunk files under DIR once the in-memory arena
 //                          exceeds the byte budget, so over-budget searches
 //                          complete (same verdicts) instead of reporting
@@ -119,8 +115,7 @@ void install_signal_handlers() {
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " <prog.pir> [more programs...] [--no-rosa] [--max-states N]\n"
-               "       [--max-bytes N] [--search-threads N] [--spill-dir DIR]\n"
-               "       [--no-reduction] [--no-fused-search]\n"
+               "       [--max-bytes N] [--spill-dir DIR] [--no-reduction]\n"
                "       [--rosa-threads N] [--escalate-rounds N] [--deadline SECS]\n"
                "       [--attacker full|cfi-ordered|fixed-args] [--print-ir]\n"
                "       [--indirect-calls conservative|refined|assume-none]\n"
@@ -353,16 +348,10 @@ int main(int argc, char** argv) {
       unsigned long long n = 0;
       if (!parse_count(argv[++i], &n)) return usage(argv[0]);
       opts.rosa_limits.max_bytes = static_cast<std::size_t>(n);
-    } else if (arg == "--search-threads" && i + 1 < argc) {
-      unsigned long long n = 0;
-      if (!parse_count(argv[++i], &n)) return usage(argv[0]);
-      opts.rosa_limits.search_threads = static_cast<unsigned>(n);
     } else if (arg == "--spill-dir" && i + 1 < argc) {
       opts.rosa_limits.spill_dir = argv[++i];
     } else if (arg == "--no-reduction") {
       opts.rosa_limits.reduction = false;
-    } else if (arg == "--no-fused-search") {
-      opts.rosa_limits.fused = false;
     } else if (arg == "--attacker" && i + 1 < argc) {
       std::string m = argv[++i];
       if (m == "full") attacker = rosa::AttackerModel::Full;
