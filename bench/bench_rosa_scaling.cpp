@@ -13,45 +13,12 @@
 
 #include "attacks/scenario.h"
 #include "bench_util.h"
-#include "privanalyzer/efficacy.h"
-#include "programs/world.h"
 #include "rosa/query.h"
 
 using namespace pa;
 using caps::Capability;
 
 namespace {
-
-/// The cold Table-III query matrix (5 programs x epochs x 4 attacks = 96
-/// queries), the workload the fused multi-goal engine was built for: the
-/// four attacks of an epoch share one masked-union world, so run_queries
-/// fans them into a single exploration each.
-std::vector<rosa::Query> table3_matrix() {
-  privanalyzer::PipelineOptions chrono_only;
-  chrono_only.run_rosa = false;
-  const auto analyses = privanalyzer::analyze_baseline(chrono_only);
-  const auto specs = programs::all_baseline_programs();
-  std::vector<rosa::Query> queries;
-  for (std::size_t p = 0; p < specs.size(); ++p) {
-    const auto syscalls = specs[p].syscalls_used();
-    for (const chronopriv::EpochRow& row : analyses[p].chrono.rows) {
-      attacks::ScenarioInput in = attacks::scenario_from_epoch(
-          row, syscalls, specs[p].scenario_extra_users,
-          specs[p].scenario_extra_groups);
-      for (const attacks::AttackInfo& a : attacks::modeled_attacks())
-        queries.push_back(attacks::build_attack_query(a.id, in));
-    }
-  }
-  return queries;
-}
-
-/// The fixed matrix search config (mirrors the differential suites).
-rosa::SearchLimits matrix_limits() {
-  rosa::SearchLimits limits;
-  limits.max_states = 1'000'000;
-  limits.check_hashes = true;
-  return limits;
-}
 
 rosa::Query make_query(attacks::AttackId attack, caps::CapSet permitted,
                        int extra_ids, int n_syscalls = 7) {
@@ -193,44 +160,6 @@ static void BM_DedupOff(benchmark::State& state) {
 }
 BENCHMARK(BM_DedupOff);
 
-/// The cold matrix as 96 one-query searches: the unfused baseline.
-static std::vector<rosa::SearchResult> search_each(
-    const std::vector<rosa::Query>& queries,
-    const rosa::SearchLimits& limits) {
-  std::vector<rosa::SearchResult> out;
-  out.reserve(queries.size());
-  for (const rosa::Query& q : queries) out.push_back(rosa::search(q, limits));
-  return out;
-}
-
-// Fused vs unfused cold matrix: Arg(1) groups each epoch's four attacks
-// into one multi-goal exploration (run_queries); Arg(0) runs all 96
-// queries as one-query searches. Results are bit-identical
-// (rosa_fused_diff_test); the counters show what the fusion shares.
-static void BM_FusedMatrix(benchmark::State& state) {
-  const std::vector<rosa::Query> queries = table3_matrix();
-  const rosa::SearchLimits limits = matrix_limits();
-  const bool fused = state.range(0) != 0;
-  std::vector<rosa::SearchResult> last;
-  for (auto _ : state) {
-    last = fused ? rosa::run_queries(queries, limits, 1, {}, nullptr)
-                 : search_each(queries, limits);
-    benchmark::DoNotOptimize(last.data());
-  }
-  std::size_t member_states = 0, world_states = 0, saved = 0;
-  for (const rosa::SearchResult& r : last) {
-    member_states += r.stats.states;
-    world_states += r.stats.fused_world_states;
-    saved += r.stats.fused_searches_saved;
-  }
-  state.counters["member_states"] = static_cast<double>(member_states);
-  state.counters["world_states"] = static_cast<double>(world_states);
-  state.counters["searches_saved"] = static_cast<double>(saved);
-  state.counters["explorations"] =
-      static_cast<double>(queries.size() - saved);
-}
-BENCHMARK(BM_FusedMatrix)->Arg(0)->Arg(1);
-
 namespace {
 
 /// The headline throughput/compactness measurement behind BENCH_rosa.json:
@@ -291,56 +220,6 @@ void write_perf_json(const std::string& path) {
         last.stats.states ? static_cast<double>(raw.stats.states) /
                                 static_cast<double>(last.stats.states)
                           : 0.0);
-  }
-  // Fused multi-goal search on the cold Table-III matrix. Per-query
-  // results are pinned bit-identical to standalone runs, so the states
-  // metric is structural: the shared exploration costs exactly the union
-  // of the members' decisive prefixes. Explorations measure searches
-  // actually launched (96 queries -> ~24 fused groups).
-  {
-    const std::vector<rosa::Query> queries = table3_matrix();
-    const rosa::SearchLimits limits = matrix_limits();
-    std::vector<rosa::SearchResult> fused, unfused;
-    double fused_best = 1e100, unfused_best = 1e100;
-    for (int rep = 0; rep < 3; ++rep) {
-      auto t0 = std::chrono::steady_clock::now();
-      fused = rosa::run_queries(queries, limits, 1, {}, nullptr);
-      fused_best = std::min(
-          fused_best, std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count());
-      t0 = std::chrono::steady_clock::now();
-      unfused = search_each(queries, limits);
-      unfused_best = std::min(
-          unfused_best, std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count());
-    }
-    std::size_t member_states = 0, world_states = 0, saved = 0;
-    for (const rosa::SearchResult& r : fused) {
-      member_states += r.stats.states;
-      world_states += r.stats.fused_world_states;
-      saved += r.stats.fused_searches_saved;
-    }
-    const double n = static_cast<double>(queries.size());
-    metrics.emplace_back("fused_matrix_queries", n);
-    metrics.emplace_back("fused_searches_saved",
-                         static_cast<double>(saved));
-    metrics.emplace_back("fused_matrix_explorations",
-                         n - static_cast<double>(saved));
-    metrics.emplace_back("fused_exploration_reduction",
-                         n / (n - static_cast<double>(saved)));
-    metrics.emplace_back("fused_member_states",
-                         static_cast<double>(member_states));
-    metrics.emplace_back("fused_world_states",
-                         static_cast<double>(world_states));
-    metrics.emplace_back(
-        "fused_states_reduction",
-        world_states ? static_cast<double>(member_states) /
-                           static_cast<double>(world_states)
-                     : 0.0);
-    metrics.emplace_back("fused_matrix_seconds", fused_best);
-    metrics.emplace_back("unfused_matrix_seconds", unfused_best);
   }
   if (!pa::bench::write_json_metrics(path, metrics)) {
     std::cerr << "cannot write " << path << "\n";

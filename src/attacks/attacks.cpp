@@ -38,13 +38,11 @@ std::uint64_t attack_bit(AttackId attack) {
 /// interested in, with open split into a read-mode and a write-mode message
 /// so each /dev/mem attack selects its own access mode — and return
 /// `attack`'s fireable mask over it. The list is byte-identical for all
-/// four attacks of an epoch (same syscalls, same args, same privileges):
-/// that is what lets rosa::run_queries fuse the epoch's queries into one
-/// exploration, the mask being the only per-attack residue. File attacks
-/// own the file and credential syscalls, the bind attack the socket
-/// syscalls, the kill attack kill plus the setuid family (CAP_SETUID lets
-/// the attacker become the victim's uid and pass the kill(2) permission
-/// check).
+/// four attacks of an epoch (same syscalls, same args, same privileges),
+/// the mask being the only per-attack residue. File attacks own the file
+/// and credential syscalls, the bind attack the socket syscalls, the kill
+/// attack kill plus the setuid family (CAP_SETUID lets the attacker become
+/// the victim's uid and pass the kill(2) permission check).
 std::uint64_t add_messages(Query& q, const ScenarioInput& in,
                            AttackId attack) {
   const caps::CapSet privs = in.permitted;
@@ -153,8 +151,7 @@ rosa::Query build_attack_query(AttackId attack, const ScenarioInput& in) {
   // One union world, built identically for all four attacks of an epoch:
   // the victim and the critical server both exist, and so do /dev/mem and
   // the /etc decoys, whichever attack is being asked about. Per-attack
-  // tailoring lives entirely in q.goal and q.msg_mask, so the four queries
-  // share a world signature and fuse into one exploration.
+  // tailoring lives entirely in q.goal and q.msg_mask.
   rosa::ProcObj victim;
   victim.id = kVictimProc;
   victim.uid = in.creds.uid;

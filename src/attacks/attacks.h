@@ -3,10 +3,9 @@
 // victim, the critical server, /dev/mem and the /etc decoys, and a single
 // union message list; §VII-A's per-attack tailoring ("the subset of the
 // program's syscalls relevant to it") is expressed through Query::msg_mask,
-// which selects the attack's fireable messages out of the shared list. The
-// shared world is what lets rosa::run_queries fuse an epoch's queries into
-// one exploration. Every message may use the epoch's entire permitted
-// privilege set — the paper's strong attack model.
+// which selects the attack's fireable messages out of the shared list. Each
+// query is one independent search. Every message may use the epoch's
+// entire permitted privilege set — the paper's strong attack model.
 #pragma once
 
 #include <string>

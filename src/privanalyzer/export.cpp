@@ -155,9 +155,7 @@ std::string search_stats_to_csv(const std::vector<ProgramAnalysis>& analyses) {
   os << "program,epoch,attack,verdict,states,transitions,dedup_hits,"
         "hash_collisions,peak_frontier,peak_bytes,bytes_per_state,"
         "spilled_states,spill_bytes,symmetry_pruned,por_pruned,"
-        "escalations,fused_group_size,fused_searches_saved,"
-        "fused_world_states,"
-        "cache_hits,cache_misses,cache_joins,seconds\n";
+        "escalations,cache_hits,cache_misses,cache_joins,seconds\n";
   for (const ProgramAnalysis& a : analyses) {
     for (const attacks::EpochVerdicts& ev : a.verdicts) {
       for (std::size_t atk = 0; atk < attacks::modeled_attacks().size();
@@ -173,9 +171,6 @@ std::string search_stats_to_csv(const std::vector<ProgramAnalysis>& analyses) {
            << r.stats.spilled_states << ',' << r.stats.spill_bytes << ','
            << r.stats.symmetry_pruned << ',' << r.stats.por_pruned << ','
            << r.stats.escalations << ','
-           << r.stats.fused_group_size << ','
-           << r.stats.fused_searches_saved << ','
-           << r.stats.fused_world_states << ','
            << r.stats.cache_hits << ',' << r.stats.cache_misses << ','
            << r.stats.cache_joins << ',' << str::fixed(r.stats.seconds, 6)
            << '\n';

@@ -31,10 +31,10 @@ std::optional<FilterMode> parse_filter_mode(std::string_view name);
 struct PipelineOptions {
   autopriv::Options autopriv;
   /// Per-query budgets plus engine mode flags, passed through to every
-  /// search of the matrix. The matrix always runs as one batch, so the four
-  /// attacks of each epoch fuse into one shared exploration per world
-  /// signature (rosa::run_queries); fused results render identically to
-  /// per-query searches (tests/rosa_fused_diff_test.cpp).
+  /// search of the matrix. The matrix runs as one rosa::run_queries batch,
+  /// one independent search per (epoch × attack) cell as in the paper;
+  /// batch results are bit-identical to per-query searches
+  /// (tests/rosa_parallel_diff_test.cpp).
   rosa::SearchLimits rosa_limits;
   /// Skip the ROSA stage (ChronoPriv-only runs for tests/benches).
   bool run_rosa = true;

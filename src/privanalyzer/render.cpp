@@ -97,7 +97,6 @@ std::string render_search_stats(const std::vector<ProgramAnalysis>& analyses) {
      << str::pad_left("PeakFront", 11) << str::pad_left("PeakB", 12)
      << str::pad_left("B/St", 8) << str::pad_left("SymPr", 8)
      << str::pad_left("PorPr", 8) << str::pad_left("Escal", 7)
-     << str::pad_left("FSaved", 8) << str::pad_left("FStates", 12)
      << str::pad_left("Hits", 7) << str::pad_left("Miss", 7)
      << str::pad_left("Joins", 7) << str::pad_left("Time", 10) << "\n";
   for (const ProgramAnalysis& a : analyses) {
@@ -120,10 +119,6 @@ std::string render_search_stats(const std::vector<ProgramAnalysis>& analyses) {
        << str::pad_left(std::to_string(s.symmetry_pruned), 8)
        << str::pad_left(std::to_string(s.por_pruned), 8)
        << str::pad_left(std::to_string(s.escalations), 7)
-       << str::pad_left(std::to_string(s.fused_searches_saved), 8)
-       << str::pad_left(
-              str::with_commas(static_cast<long long>(s.fused_world_states)),
-              12)
        << str::pad_left(std::to_string(s.cache_hits), 7)
        << str::pad_left(std::to_string(s.cache_misses), 7)
        << str::pad_left(std::to_string(s.cache_joins), 7)

@@ -9,10 +9,10 @@
 // Chunk capacities grow geometrically (first_capacity, doubling up to
 // chunk_capacity, then uniform), so worst-case reservation slack is one
 // chunk. Growth is deterministic — capacities depend only on append count,
-// never on allocator behaviour — which is what lets the search model each
-// goal's byte footprint from its own commit count (ArenaSim in
-// rosa/search.cpp): SearchLimits::max_bytes bounds a search by memory the
-// way max_states bounds it by node count.
+// never on allocator behaviour — which is what lets the search account its
+// byte footprint from its commit count (ArenaSim in rosa/search.cpp):
+// SearchLimits::max_bytes bounds a search by memory the way max_states
+// bounds it by node count.
 #pragma once
 
 #include <algorithm>

@@ -159,12 +159,6 @@ std::optional<QueryCache::Entry> make_entry(const SearchResult& r,
   }
   e.stats = r.stats;
   e.stats.cache_hits = e.stats.cache_misses = e.stats.cache_joins = 0;
-  // Mode-of-computation observability, not query cost: a warm hit must be
-  // byte-identical whether the entry was computed by a fused group or a
-  // one-query search.
-  e.stats.fused_group_size = 0;
-  e.stats.fused_searches_saved = 0;
-  e.stats.fused_world_states = 0;
   e.witness = r.witness;
   e.sig_max_states = limits.max_states;
   e.sig_max_seconds = limits.max_seconds;
@@ -385,63 +379,6 @@ SearchResult QueryCache::run_cached(const Query& query,
   sh.misses.fetch_add(1, std::memory_order_relaxed);
   if (joined) sh.joins.fetch_add(1, std::memory_order_relaxed);
   return r;
-}
-
-std::optional<SearchResult> QueryCache::lookup(
-    const Fingerprint& fp, const SearchLimits& limits,
-    const EscalationPolicy& escalation) {
-  Shard& sh = shard_for(fp);
-  std::shared_ptr<Slot> slot;
-  {
-    std::lock_guard<std::mutex> lk(sh.map_mu);
-    std::shared_ptr<Slot>& s = sh.slots[fp];
-    if (!s) s = std::make_shared<Slot>();
-    slot = s;
-  }
-  std::optional<SearchResult> r;
-  {
-    std::lock_guard<std::mutex> lk(slot->m);
-    if (slot->has_entry && reusable(slot->entry, limits, escalation)) {
-      r = result_from_entry(slot->entry);
-      r->stats.cache_hits = 1;
-      sh.hits.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  if (r) {
-    lru_note(fp, 0);  // refresh recency so hot entries survive the budget
-    return r;
-  }
-  sh.misses.fetch_add(1, std::memory_order_relaxed);
-  return std::nullopt;
-}
-
-void QueryCache::store(const Fingerprint& fp, const SearchResult& result,
-                       const SearchLimits& limits,
-                       const EscalationPolicy& escalation) {
-  std::optional<Entry> e = make_entry(result, limits, escalation);
-  if (!e) return;
-  Shard& sh = shard_for(fp);
-  std::shared_ptr<Slot> slot;
-  {
-    std::lock_guard<std::mutex> lk(sh.map_mu);
-    std::shared_ptr<Slot>& s = sh.slots[fp];
-    if (!s) s = std::make_shared<Slot>();
-    slot = s;
-  }
-  std::size_t stored_bytes = 0;
-  {
-    std::lock_guard<std::mutex> lk(slot->m);
-    if (!slot->has_entry) {
-      slot->has_entry = true;
-      slot->entry = std::move(*e);
-      sh.entries.fetch_add(1, std::memory_order_relaxed);
-      stored_bytes = entry_bytes(slot->entry);
-    } else if (should_replace(slot->entry, *e)) {
-      slot->entry = std::move(*e);
-      stored_bytes = entry_bytes(slot->entry);
-    }
-  }
-  if (stored_bytes != 0) lru_note(fp, stored_bytes);
 }
 
 QueryCache::Totals QueryCache::totals() const {

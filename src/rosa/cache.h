@@ -94,23 +94,6 @@ class QueryCache {
   SearchResult run_cached(const Query& query, const SearchLimits& limits,
                           const EscalationPolicy& escalation = {});
 
-  /// The two halves of run_cached, decomposed for the fused search path
-  /// (rosa::run_queries): a fused group consults the cache per member
-  /// fingerprint before the shared exploration and stores each member's
-  /// result after it. lookup() returns a reusable stored result
-  /// (stats.cache_hits = 1, recency refreshed) or nullopt after counting a
-  /// miss; store() applies run_cached's storability and replacement rules
-  /// verbatim. Neither takes part in the in-flight slot handshake — fused
-  /// callers never race identical fingerprints, because equal fingerprints
-  /// imply equal world signatures and therefore land in the same fused
-  /// task.
-  std::optional<SearchResult> lookup(const Fingerprint& fp,
-                                     const SearchLimits& limits,
-                                     const EscalationPolicy& escalation = {});
-  void store(const Fingerprint& fp, const SearchResult& result,
-             const SearchLimits& limits,
-             const EscalationPolicy& escalation = {});
-
   /// Lifetime aggregate of every run_cached call (monotone except the
   /// resident gauges; thread-safe).
   struct Totals {

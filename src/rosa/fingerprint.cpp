@@ -74,18 +74,19 @@ std::optional<Fingerprint> Fingerprint::from_hex(std::string_view hex) {
   return f;
 }
 
-namespace {
+std::optional<Fingerprint> fingerprint_query(const Query& query,
+                                             const SearchLimits& limits) {
+  if (query.goal.cache_key().empty()) return std::nullopt;
+  const AccessChecker& checker =
+      query.checker ? *query.checker : linux_checker();
+  if (checker.cache_key().empty()) return std::nullopt;
+  if (limits.hash_override) return std::nullopt;
 
-/// Shared ingredient sequence for fingerprint_query / world_signature.
-/// `goal_key` is hashed in its historical position (between the checker key
-/// and no_dedup) when non-null; world_signature passes nullptr.
-void hash_query_world(Hasher128& h, const Query& query,
-                      const AccessChecker& checker, const SearchLimits& limits,
-                      const std::string* goal_key) {
+  Hasher128 h;
   h.str(kRosaModelVersion);
   h.u64(static_cast<std::uint64_t>(query.attacker));
   h.str(checker.cache_key());
-  if (goal_key) h.str(*goal_key);
+  h.str(query.goal.cache_key());
   h.u64(limits.no_dedup ? 1 : 0);
   // Reduction changes the work counters a cached entry stores (never the
   // verdict), so reduced and unreduced runs must not share entries. The
@@ -111,21 +112,6 @@ void hash_query_world(Hasher128& h, const Query& query,
     for (int a : m.args) h.i64(a);
     h.u64(m.privs.raw());
   }
-}
-
-}  // namespace
-
-std::optional<Fingerprint> fingerprint_query(const Query& query,
-                                             const SearchLimits& limits) {
-  if (query.goal.cache_key().empty()) return std::nullopt;
-  const AccessChecker& checker =
-      query.checker ? *query.checker : linux_checker();
-  if (checker.cache_key().empty()) return std::nullopt;
-  if (limits.hash_override) return std::nullopt;
-
-  Hasher128 h;
-  const std::string goal_key{query.goal.cache_key()};
-  hash_query_world(h, query, checker, limits, &goal_key);
   // The message mask selects which messages may fire, so it is as
   // semantics-bearing as the message list itself. Salted only when proper
   // so full-mask fingerprints stay byte-identical with pre-mask builds.
@@ -137,18 +123,6 @@ std::optional<Fingerprint> fingerprint_query(const Query& query,
     h.str("mask-v1");
     h.u64(query.msg_mask & full_mask);
   }
-  return h.digest();
-}
-
-std::optional<Fingerprint> world_signature(const Query& query,
-                                           const SearchLimits& limits) {
-  const AccessChecker& checker =
-      query.checker ? *query.checker : linux_checker();
-  if (checker.cache_key().empty()) return std::nullopt;
-  if (limits.hash_override) return std::nullopt;
-
-  Hasher128 h;
-  hash_query_world(h, query, checker, limits, nullptr);
   return h.digest();
 }
 

@@ -204,12 +204,11 @@ IndependenceTable IndependenceTable::build(const Query& query) {
   if (n == 0 || n > 64) return t;
   // Program-ordered attackers make firing order observable by construction.
   if (query.attacker == AttackerModel::CfiOrdered) return t;
-  // Proper message masks disable POR. Per-goal ample choices would diverge
-  // at states shared across a fused group (each member sees a different
-  // unconsumed-but-fireable set), and the reduction is measured inert on
-  // the masked attack matrix anyway (por_pruned = 0 across all of Table
-  // III: the single-process attack scenarios' set*id messages couple
-  // everything — see the header's footprint-coarseness note).
+  // Proper message masks disable POR: the reduction is measured inert on
+  // the masked attack matrix (por_pruned = 0 across all of Table III: the
+  // single-process attack scenarios' set*id messages couple everything —
+  // see the header's footprint-coarseness note), and the goldens pin the
+  // counters this refusal produces.
   const std::uint64_t full =
       n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
   if ((query.msg_mask & full) != full) return t;

@@ -67,10 +67,6 @@ class IndependenceTable {
   std::uint64_t dep_mask(std::size_t i) const { return dep_[i]; }
   /// Bit i set: message i can change the goal predicate's value.
   std::uint64_t visible_mask() const { return visible_; }
-  /// Bit i set: message i's process is absent — it never fires and never
-  /// seeds an ample set. Exposed so fused-search grouping can compare two
-  /// queries' tables field-for-field.
-  std::uint64_t dead_mask() const { return dead_; }
   bool independent(std::size_t i, std::size_t j) const {
     return !(dep_[i] & (std::uint64_t{1} << j));
   }
@@ -79,8 +75,7 @@ class IndependenceTable {
   /// `unconsumed`: dependence closures of each invisible unconsumed seed
   /// that stay invisible and are proper subsets, deduplicated and ordered
   /// by (popcount, mask) — deterministic and a pure function of the
-  /// arguments, so serial and layered engines choose identically. The
-  /// engine commits to the first candidate that yields a transition and
+  /// arguments. The search commits to the first candidate that yields a transition and
   /// falls back to full expansion when none does.
   void candidates(std::uint64_t unconsumed,
                   std::vector<std::uint64_t>& out) const;
@@ -125,10 +120,8 @@ struct ExpandedTransition {
 /// against the FULL message list: masked-out later messages are never
 /// consumed, so the gate degenerates to program order over the mask's
 /// subsequence — the same semantics a tailored per-attack message list had.
-/// `fire_mask` is the query's msg_mask for standalone searches and the
-/// union of the live members' masks for the fused engines; the POR path
-/// ignores it (IndependenceTable::build refuses proper masks, and fused
-/// groups only enable POR when every member's mask is full).
+/// `fire_mask` is the query's msg_mask; the POR path ignores it
+/// (IndependenceTable::build refuses proper masks).
 std::size_t expand_state(const State& cur, const Query& query,
                          const AccessChecker& checker,
                          const IndependenceTable* table,

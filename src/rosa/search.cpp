@@ -8,14 +8,11 @@
 #include "rosa/spill.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <deque>
 #include <limits>
 #include <optional>
 #include <unordered_map>
-
-#include "rosa/fingerprint.h"
 
 #include "support/error.h"
 #include "support/faultpoint.h"
@@ -58,9 +55,6 @@ void SearchStats::merge(const SearchStats& other) {
   cache_hits += other.cache_hits;
   cache_misses += other.cache_misses;
   cache_joins += other.cache_joins;
-  fused_group_size = std::max(fused_group_size, other.fused_group_size);
-  fused_searches_saved += other.fused_searches_saved;
-  fused_world_states += other.fused_world_states;
 }
 
 std::string SearchStats::to_string() const {
@@ -74,9 +68,6 @@ std::string SearchStats::to_string() const {
                   " symmetry-pruned=", symmetry_pruned,
                   " por-pruned=", por_pruned,
                   " escalations=", escalations,
-                  " fused-group=", fused_group_size,
-                  " fused-saved=", fused_searches_saved,
-                  " fused-world-states=", fused_world_states,
                   " cache-hits=", cache_hits,
                   " cache-misses=", cache_misses, " cache-joins=", cache_joins,
                   " time=", str::fixed(seconds, 3), "s");
@@ -108,12 +99,11 @@ struct SearchNode {
   std::int64_t aux = -1;
 };
 
-/// The node-arena footprint of one group member as a pure function of that
-/// member's own commit sequence: the chunks an Arena<SearchNode> holding
-/// only the member's nodes would reserve (16, then doubling up to the 128
-/// cap) plus each node's extra heap bytes. skeleton_bytes + bytes() is thus
-/// the member's footprint whatever else the group explored, and with it
-/// every max_bytes verdict and peak_bytes figure.
+/// The node arena's byte footprint as a pure function of the commit
+/// sequence: the chunks Arena<SearchNode> reserves (16, then doubling up to
+/// the 128 cap) plus each node's extra heap bytes. Capacity-based, not
+/// allocator-dependent, so every max_bytes verdict and peak_bytes figure is
+/// deterministic.
 struct ArenaSim {
   std::size_t size = 0;
   std::size_t reserved = 0;
@@ -131,46 +121,13 @@ struct ArenaSim {
   std::size_t bytes() const { return reserved * sizeof(SearchNode) + extra; }
 };
 
-/// Visit the set bits of `bits` as member indices, ascending.
-template <typename Fn>
-void for_members(std::uint64_t bits, Fn&& fn) {
-  while (bits) {
-    const int m = std::countr_zero(bits);
-    bits &= bits - 1;
-    fn(static_cast<std::size_t>(m));
-  }
-}
-
 }  // namespace
 
 SearchResult search(const Query& query, const SearchLimits& limits) {
-  return std::move(
-      detail::search_fused(std::span<const Query>(&query, 1), limits)[0]);
-}
-
-SearchResult search_escalating(const Query& query, const SearchLimits& limits,
-                               const EscalationPolicy& policy) {
-  return std::move(detail::search_fused_escalating(
-      std::span<const Query>(&query, 1), limits, policy)[0]);
-}
-
-namespace detail {
-
-std::vector<SearchResult> search_fused(std::span<const Query> group,
-                                       const SearchLimits& limits) {
-  PA_CHECK(!group.empty(), "search_fused needs at least one query");
-  PA_CHECK(group.size() <= 64, "fused groups are capped at 64 members");
-  PA_CHECK(group.size() == 1 || !limits.spill_enabled(),
-           "only a one-member group can spill its frontier");
-  for (const Query& q : group) {
-    PA_FAULTPOINT("rosa.search");
-    PA_CHECK(q.messages.size() <= 64,
-             "ROSA tracks at most 64 one-shot messages");
-    PA_CHECK(static_cast<bool>(q.goal), "query has no goal predicate");
-    PA_CHECK(q.messages.size() == group[0].messages.size() &&
-                 q.attacker == group[0].attacker,
-             "fused group members must share one world");
-  }
+  PA_FAULTPOINT("rosa.search");
+  PA_CHECK(query.messages.size() <= 64,
+           "ROSA tracks at most 64 one-shot messages");
+  PA_CHECK(static_cast<bool>(query.goal), "query has no goal predicate");
 
   const auto t0 = std::chrono::steady_clock::now();
   auto elapsed = [&t0] {
@@ -179,56 +136,25 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
         .count();
   };
 
-  const std::size_t n_members = group.size();
-  const Query& world_q = group[0];
-  std::vector<SearchResult> results(n_members);
+  SearchResult result;
+  SearchStats& stats = result.stats;
 
   const std::uint64_t full_msg_mask =
-      world_q.messages.empty()
+      query.messages.empty()
           ? 0
-          : (world_q.messages.size() == 64
+          : (query.messages.size() == 64
                  ? ~std::uint64_t{0}
-                 : (std::uint64_t{1} << world_q.messages.size()) - 1);
-
-  // Per-member replay: the exploration walks the union graph once, and
-  // each member's own run is re-enacted on the side — membership is
-  // state-intrinsic (consumed ⊆ mask survives canonicalization and is equal
-  // across equal states), so every counter a one-member run would have
-  // produced is derivable from the union walk.
-  struct Member {
-    std::uint64_t mask = 0;  // normalized msg_mask
-    SearchStats stats;
-    std::size_t frontier = 0;  // virtual frontier population
-    ArenaSim sim;
-  };
-  std::vector<Member> members(n_members);
-  for (std::size_t m = 0; m < n_members; ++m)
-    members[m].mask = group[m].msg_mask & full_msg_mask;
-
-  std::uint64_t live = n_members == 64 ? ~std::uint64_t{0}
-                                       : (std::uint64_t{1} << n_members) - 1;
-  std::uint64_t live_fire = 0;
-  auto refresh_fire = [&] {
-    live_fire = 0;
-    for_members(live, [&](std::size_t m) { live_fire |= members[m].mask; });
-  };
-  refresh_fire();
-
-  // Member m contains a state iff every consumed message is in m's mask —
-  // masked-out messages never fire, so consuming one puts the state outside
-  // m's own graph forever.
-  auto members_of = [&](std::uint64_t consumed) {
-    std::uint64_t ms = 0;
-    for (std::size_t m = 0; m < n_members; ++m)
-      if (!(consumed & ~members[m].mask)) ms |= std::uint64_t{1} << m;
-    return ms;
-  };
+                 : (std::uint64_t{1} << query.messages.size()) - 1);
+  // Masked-out messages never fire, but their msgs_remaining bits stay set
+  // (Query::msg_mask), so every state keeps the full-list representation.
+  const std::uint64_t fire_mask = query.msg_mask & full_msg_mask;
 
   // Chunked arena: node addresses are stable across appends (no whole-array
-  // reallocation). The byte footprint SearchLimits::max_bytes bounds and
-  // SearchStats::peak_bytes reports is each member's ArenaSim.
+  // reallocation). `footprint` is the byte figure SearchLimits::max_bytes
+  // bounds and SearchStats::peak_bytes reports.
   using Node = SearchNode;
   Arena<Node> nodes;
+  ArenaSim footprint;
   // Dedup key -> head of the Node chain with that key. Keying on 8-byte
   // digests instead of full canonical() strings removes one string build +
   // hash per generated successor; exactness is restored by canonical_equal()
@@ -249,16 +175,14 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
     return limits.hash_override ? limits.hash_override(st) : st.hash();
   };
 
-  State init = world_q.initial;
+  State init = query.initial;
   init.normalize();
   init.set_msgs_remaining(full_msg_mask);
   const std::shared_ptr<const WorldSkeleton> world = init.world();
 
   // Byte accounting: the shared world skeleton is charged once per search
   // (every node references the same instance), each node's own heap
-  // allocations are added to each owning member's ArenaSim as it is
-  // committed. The accounting is capacity-based and allocator-independent,
-  // so max_bytes exhaustion is deterministic.
+  // allocations are added to `footprint` as it is committed.
   std::size_t skeleton_bytes = 0;
   if (world) {
     skeleton_bytes = sizeof(WorldSkeleton) +
@@ -270,9 +194,9 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
       skeleton_bytes += name.capacity() > 15 ? name.capacity() + 1 : 0;
   }
 
-  // Spilling (one-member groups only): once the byte budget first trips,
-  // every node committed from then on — index first_evicted onwards — is
-  // evicted, so spill_refs[i - first_evicted] locates node i's frame.
+  // Spilling: once the byte budget first trips, every node committed from
+  // then on — index first_evicted onwards — is evicted, so
+  // spill_refs[i - first_evicted] locates node i's frame.
   std::optional<SpillStore> store;
   std::optional<SpillReader> reader;
   if (limits.spill_enabled()) {
@@ -292,25 +216,21 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
   // Symmetry + partial-order reduction plan (rosa/canon.h,
   // rosa/independence.h); empty when limits.reduction is off or the query
   // is ineligible, in which case the loop degenerates to the unreduced
-  // reference search. Grouping (run_queries) guarantees every member
-  // computes this same plan: symmetry eligibility and the independence
-  // table are part of the group key, and POR is refused outright under
-  // proper masks.
-  const ReductionPlan plan = make_reduction_plan(world_q, limits);
+  // reference search.
+  const ReductionPlan plan = make_reduction_plan(query, limits);
   // Node index -> the (non-identity) renaming its state underwent during
   // canonicalization, needed to translate witness actions back into the
   // original identity frame. Sparse: most canonicalizations are identities.
   std::unordered_map<std::size_t, Renaming> renames;
 
-  auto decide = [&](std::size_t m, Verdict v, std::int64_t goal_node) {
-    Member& mem = members[m];
-    SearchResult& res = results[m];
-    res.verdict = v;
-    mem.stats.seconds = elapsed();
-    mem.stats.decisive_states = mem.stats.states;
+  // Record the verdict and, for a goal node, rebuild the witness path.
+  auto finish = [&](Verdict v, std::int64_t goal_node) {
+    result.verdict = v;
+    stats.seconds = elapsed();
+    stats.decisive_states = stats.states;
     if (store) {
-      mem.stats.spilled_states = store->spilled_states();
-      mem.stats.spill_bytes = store->spill_bytes();
+      stats.spilled_states = store->spilled_states();
+      stats.spill_bytes = store->spill_bytes();
     }
     if (goal_node >= 0) {
       std::vector<std::size_t> path;
@@ -320,20 +240,17 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
       std::reverse(path.begin(), path.end());
       // Stored actions live in the canonical frame of their parent, i.e.
       // the original frame composed with rho = sigma_{i-1} ∘ … ∘ sigma_1.
-      // Undo rho per step, then fold in this step's own renaming. Every
-      // node on the path is m-intrinsic (ancestors consume subsets).
+      // Undo rho per step, then fold in this step's own renaming.
       Renaming rho;
       for (std::size_t nd : path) {
         Action step = nodes[nd].action;
         unrename_action(step, rho);
-        res.witness.push_back(std::move(step));
+        result.witness.push_back(std::move(step));
         const auto it = renames.find(nd);
         if (it != renames.end()) compose_renaming(rho, it->second);
       }
     }
-    res.stats = mem.stats;
-    live &= ~(std::uint64_t{1} << m);
-    refresh_fire();
+    return std::move(result);
   };
 
   {
@@ -342,36 +259,28 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
     const std::size_t heap = root.state.heap_bytes();
     seen.emplace(init_key, 0);
     frontier.push_back(0);
-    for (std::size_t m = 0; m < n_members; ++m) {
-      Member& mem = members[m];
-      mem.stats.state_bytes = sizeof(State) + heap;
-      mem.sim.push(heap);
-      mem.stats.states = 1;
-      mem.frontier = 1;
-      mem.stats.peak_frontier = 1;
-      mem.stats.peak_bytes = skeleton_bytes + mem.sim.bytes();
-      if (group[m].goal(root.state)) decide(m, Verdict::Reachable, 0);
-    }
+    stats.state_bytes = sizeof(State) + heap;
+    footprint.push(heap);
+    stats.states = 1;
+    stats.peak_frontier = 1;
+    stats.peak_bytes = skeleton_bytes + footprint.bytes();
+    if (query.goal(root.state)) return finish(Verdict::Reachable, 0);
   }
 
   // Hoisted out of the pop loop: the checker never changes mid-search, and
   // the successor scratch vectors keep their capacity across every pop.
-  const AccessChecker& ck =
-      world_q.checker ? *world_q.checker : linux_checker();
+  const AccessChecker& ck = query.checker ? *query.checker : linux_checker();
   std::vector<Transition> scratch;
   std::vector<ExpandedTransition> expanded;
 
-  while (live && !frontier.empty()) {
+  while (!frontier.empty()) {
     // The wall-clock budget, the batch-wide deadline, and the cooperative
     // cancel flag are all enforced here, once per frontier pop: a
     // per-message-loop check alone is blind to searches whose per-state
     // fanout is tiny but whose frontier is enormous.
     if ((limits.max_seconds > 0 && elapsed() > limits.max_seconds) ||
-        limits.expired()) {
-      for_members(live,
-                  [&](std::size_t m) { decide(m, Verdict::ResourceLimit, -1); });
-      break;
-    }
+        limits.expired())
+      return finish(Verdict::ResourceLimit, -1);
 
     const std::size_t cur = frontier.front();
     frontier.pop_front();
@@ -384,49 +293,21 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
     // Arena addresses are stable, so a resident popped state can be
     // referenced across successor appends without re-fetching by index.
     const State& cur_state = state_of(cur, popped);
-    const std::uint64_t cur_msgs = cur_state.msgs_remaining();
-    const std::uint64_t consumed_cur = full_msg_mask & ~cur_msgs;
-    const std::uint64_t live_owners = members_of(consumed_cur) & live;
-    // Replay each live owner's pop; a node every owner of which has since
-    // decided expands to nothing any live member could own, so skip it.
-    for_members(live_owners, [&](std::size_t m) { --members[m].frontier; });
-    if (!live_owners) continue;
 
     // expand_state applies either the chosen ample set (POR) or every
-    // unconsumed live-fireable message (including the CfiOrdered
-    // program-order gate), buffering successors in a fixed order.
-    const std::size_t pruned =
-        expand_state(cur_state, world_q, ck,
-                     plan.por() ? &plan.table : nullptr, full_msg_mask,
-                     live_fire, expanded, scratch);
-    if (pruned)
-      // POR only engages when every mask is full (build() refuses proper
-      // masks), so the ample choice — and this charge — is exactly what
-      // every live member's own pop would have done.
-      for_members(live_owners, [&](std::size_t m) {
-        members[m].stats.por_pruned += pruned;
-      });
+    // unconsumed fireable message (including the CfiOrdered program-order
+    // gate), buffering successors in a fixed order.
+    stats.por_pruned +=
+        expand_state(cur_state, query, ck, plan.por() ? &plan.table : nullptr,
+                     full_msg_mask, fire_mask, expanded, scratch);
 
     for (ExpandedTransition& et : expanded) {
-      if (!live) break;
       Transition& tr = et.tr;
-      const std::uint64_t consumed_next =
-          consumed_cur | (std::uint64_t{1} << et.msg);
-      const std::uint64_t tr_members = members_of(consumed_next);
-      std::uint64_t live_tr = tr_members & live;
-      // Orphan candidate: no live member's own run generates it, and none
-      // ever will (equal states have equal membership, live only shrinks)
-      // — drop it before any bookkeeping.
-      if (!live_tr) continue;
-      for_members(live_tr,
-                  [&](std::size_t m) { ++members[m].stats.transitions; });
+      ++stats.transitions;
       Renaming sigma;
       if (plan.sym()) {
         sigma = canonicalize(tr.next, plan.symmetry);
-        if (!sigma.identity())
-          for_members(live_tr, [&](std::size_t m) {
-            ++members[m].stats.symmetry_pruned;
-          });
+        if (!sigma.identity()) ++stats.symmetry_pruned;
       }
 
       const std::size_t ni = nodes.size();
@@ -438,22 +319,12 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
           // joins the chain.
           std::size_t idx = it->second;
           bool duplicate = false;
-          // Member m's own map holds this key iff the chain holds an
-          // m-intrinsic state (every m-state here was committed while m was
-          // live — liveness only shrinks). When no duplicate stops the walk
-          // early, the walk reaches the chain's end, so the accumulated
-          // membership is complete exactly when the collision charge below
-          // needs it.
-          std::uint64_t chain_members = 0;
           for (;;) {
             // Equal states consume equally many messages, so an evicted
             // chain state is usually in the layer under construction and
             // still in the open chunk; the reader parses it in place there
             // rather than publishing a chunk per probe.
-            const State& chain_state = state_of(idx, probed);
-            chain_members |=
-                members_of(full_msg_mask & ~chain_state.msgs_remaining());
-            if (canonical_equal(chain_state, tr.next)) {
+            if (canonical_equal(state_of(idx, probed), tr.next)) {
               duplicate = true;
               break;
             }
@@ -461,14 +332,10 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
             idx = static_cast<std::size_t>(nodes[idx].aux);
           }
           if (duplicate) {
-            for_members(live_tr, [&](std::size_t m) {
-              ++members[m].stats.dedup_hits;
-            });
+            ++stats.dedup_hits;
             continue;
           }
-          for_members(live_tr & chain_members, [&](std::size_t m) {
-            ++members[m].stats.hash_collisions;
-          });
+          ++stats.hash_collisions;
           nodes[idx].aux = static_cast<std::int64_t>(ni);
         }
       }
@@ -484,80 +351,45 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
                static_cast<std::int64_t>(cur), std::move(tr.action), -1});
       const State& committed = evict ? tr.next : added.state;
       const std::size_t heap = committed.heap_bytes();
-      const std::size_t extra = (evict ? 0 : heap) +
-                                added.action.args.capacity() * sizeof(int);
       if (!sigma.identity()) renames.emplace(ni, std::move(sigma));
 
-      for_members(live_tr, [&](std::size_t m) {
-        Member& mem = members[m];
-        mem.stats.state_bytes += sizeof(State) + heap;
-        mem.sim.push(extra);
-        ++mem.stats.states;
-        mem.stats.peak_bytes =
-            std::max(mem.stats.peak_bytes, skeleton_bytes + mem.sim.bytes());
-        if (group[m].goal(committed)) {
-          decide(m, Verdict::Reachable, static_cast<std::int64_t>(ni));
-          return;
-        }
-        if (limits.max_states && mem.stats.states >= limits.max_states) {
-          decide(m, Verdict::ResourceLimit, -1);
-          return;
-        }
-        if (limits.max_bytes && !evict &&
-            skeleton_bytes + mem.sim.bytes() > limits.max_bytes) {
-          if (!store) {
-            decide(m, Verdict::ResourceLimit, -1);
-            return;
-          }
-          // With a spill directory the search keeps going: the budget now
-          // governs residency, not completion.
-          first_evicted = ni + 1;
-        }
-        ++mem.frontier;
-        mem.stats.peak_frontier =
-            std::max(mem.stats.peak_frontier, mem.frontier);
-      });
-      if (tr_members & live) frontier.push_back(ni);
+      stats.state_bytes += sizeof(State) + heap;
+      footprint.push((evict ? 0 : heap) +
+                     added.action.args.capacity() * sizeof(int));
+      ++stats.states;
+      stats.peak_bytes =
+          std::max(stats.peak_bytes, skeleton_bytes + footprint.bytes());
+      if (query.goal(committed))
+        return finish(Verdict::Reachable, static_cast<std::int64_t>(ni));
+      if (limits.max_states && stats.states >= limits.max_states)
+        return finish(Verdict::ResourceLimit, -1);
+      if (limits.max_bytes && !evict &&
+          skeleton_bytes + footprint.bytes() > limits.max_bytes) {
+        if (!store) return finish(Verdict::ResourceLimit, -1);
+        // With a spill directory the search keeps going: the budget now
+        // governs residency, not completion.
+        first_evicted = ni + 1;
+      }
+      frontier.push_back(ni);
+      stats.peak_frontier = std::max(stats.peak_frontier, frontier.size());
     }
-
-    // A live member whose virtual frontier drained has no m-states left
-    // anywhere (children only come from m-parents): its own run exits its
-    // pop loop right here.
-    for_members(live_owners & live, [&](std::size_t m) {
-      if (members[m].frontier == 0) decide(m, Verdict::Unreachable, -1);
-    });
   }
-  // Global drain with members still live only happens when every one of
-  // them drained on the final pop (handled above); this is a no-op guard.
-  for_members(live,
-              [&](std::size_t m) { decide(m, Verdict::Unreachable, -1); });
-
-  if (n_members > 1) results[0].stats.fused_world_states = nodes.size();
-  return results;
+  return finish(Verdict::Unreachable, -1);
 }
 
-std::vector<SearchResult> search_fused_escalating(
-    std::span<const Query> group, const SearchLimits& limits,
-    const EscalationPolicy& policy) {
-  std::vector<SearchResult> results = search_fused(group, limits);
-  if (!policy.enabled()) return results;
+SearchResult search_escalating(const Query& query, const SearchLimits& limits,
+                               const EscalationPolicy& policy) {
+  SearchResult result = search(query, limits);
+  if (!policy.enabled()) return result;
 
-  std::vector<SearchStats> accumulated;
-  accumulated.reserve(results.size());
-  for (const SearchResult& r : results) accumulated.push_back(r.stats);
-
+  SearchStats total = result.stats;
   SearchLimits grown = limits;
-  std::vector<Query> pending_queries;
-  std::vector<std::size_t> pending;  // indices into `group`
-  for (unsigned round = 0; round < policy.rounds; ++round) {
-    pending.clear();
-    for (std::size_t i = 0; i < results.size(); ++i)
-      if (results[i].verdict == Verdict::ResourceLimit) pending.push_back(i);
-    // Decided members are final by monotonicity: a Reachable witness stays
-    // a witness at any larger budget and Unreachable exhausted the graph —
-    // only the starved members re-run.
-    if (pending.empty()) break;
-    if (grown.expired()) break;
+  // A definite verdict is final by monotonicity: a Reachable witness stays
+  // a witness at any larger budget and Unreachable exhausted the graph.
+  for (unsigned round = 0; round < policy.rounds &&
+                           result.verdict == Verdict::ResourceLimit &&
+                           !grown.expired();
+       ++round) {
     if (grown.max_states)
       grown.max_states = static_cast<std::size_t>(
           static_cast<double>(grown.max_states) * policy.factor);
@@ -565,147 +397,14 @@ std::vector<SearchResult> search_fused_escalating(
     if (grown.max_bytes)
       grown.max_bytes = static_cast<std::size_t>(
           static_cast<double>(grown.max_bytes) * policy.factor);
-    pending_queries.clear();
-    for (std::size_t i : pending) pending_queries.push_back(group[i]);
-    std::vector<SearchResult> round_results =
-        search_fused(pending_queries, grown);
-    for (std::size_t k = 0; k < pending.size(); ++k) {
-      const std::size_t i = pending[k];
-      results[i] = std::move(round_results[k]);
-      SearchStats& acc = accumulated[i];
-      const SearchStats& st = results[i].stats;
-      acc.escalations += 1;
-      acc.states += st.states;
-      acc.transitions += st.transitions;
-      acc.dedup_hits += st.dedup_hits;
-      acc.hash_collisions += st.hash_collisions;
-      acc.peak_frontier = std::max(acc.peak_frontier, st.peak_frontier);
-      acc.peak_bytes = std::max(acc.peak_bytes, st.peak_bytes);
-      acc.state_bytes += st.state_bytes;
-      acc.spilled_states += st.spilled_states;
-      acc.spill_bytes += st.spill_bytes;
-      acc.symmetry_pruned += st.symmetry_pruned;
-      acc.por_pruned += st.por_pruned;
-      acc.seconds += st.seconds;
-      // The per-round fused observability fields ride each round's rank-0
-      // member, so the straight sums/maxes keep matrix-wide aggregation
-      // consistent.
-      acc.fused_world_states += st.fused_world_states;
-      acc.fused_group_size = std::max(acc.fused_group_size,
-                                      st.fused_group_size);
-    }
+    result = search(query, grown);
+    total.merge(result.stats);
+    ++total.escalations;
   }
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    accumulated[i].decisive_states = results[i].stats.decisive_states;
-    results[i].stats = accumulated[i];
-  }
-  return results;
+  total.decisive_states = result.stats.decisive_states;
+  result.stats = total;
+  return result;
 }
-
-}  // namespace detail
-
-namespace {
-
-/// Stub for a query the batch deadline cancelled before it started: the
-/// paper's hourglass verdict with zero work recorded.
-SearchResult cancelled_result() {
-  SearchResult r;
-  r.verdict = Verdict::ResourceLimit;
-  return r;
-}
-
-/// Field-for-field equality of two queries' independence tables — the
-/// grouping guard that keeps one fused exploration's ample choices valid
-/// for every member.
-bool tables_equal(const IndependenceTable& a, const IndependenceTable& b) {
-  if (a.enabled() != b.enabled()) return false;
-  if (!a.enabled()) return true;
-  if (a.message_count() != b.message_count() ||
-      a.visible_mask() != b.visible_mask() || a.dead_mask() != b.dead_mask())
-    return false;
-  for (std::size_t i = 0; i < a.message_count(); ++i)
-    if (a.dep_mask(i) != b.dep_mask(i)) return false;
-  return true;
-}
-
-/// Execute one fused task (≥ 2 queries sharing a world signature and
-/// reduction plan): dedupe members by full fingerprint, consult the cache
-/// per representative, run the remaining representatives through ONE fused
-/// exploration, then store/adopt so every per-query result — verdict,
-/// witness, stats, cache entry, and cache counters — is what the unfused
-/// path would have produced.
-void run_fused_task(std::span<const Query> queries,
-                    const std::vector<std::size_t>& task,
-                    const SearchLimits& limits,
-                    const EscalationPolicy& escalation, QueryCache* cache,
-                    std::vector<SearchResult>& results) {
-  const std::size_t n = task.size();
-  std::vector<Fingerprint> fps(n);
-  std::vector<std::size_t> adopt(n);
-  std::unordered_map<Fingerprint, std::size_t, FingerprintHash> rep_of;
-  for (std::size_t i = 0; i < n; ++i) {
-    // Grouping only fuses fingerprintable queries, so the optionals hold.
-    fps[i] = *fingerprint_query(queries[task[i]], limits);
-    const auto [it, inserted] = rep_of.try_emplace(fps[i], i);
-    adopt[i] = it->second;
-  }
-
-  std::vector<std::size_t> to_run;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (adopt[i] != i) continue;
-    if (cache) {
-      if (auto hit = cache->lookup(fps[i], limits, escalation)) {
-        results[task[i]] = std::move(*hit);
-        continue;
-      }
-    }
-    to_run.push_back(i);
-  }
-
-  if (!to_run.empty()) {
-    std::vector<Query> sub;
-    sub.reserve(to_run.size());
-    for (std::size_t i : to_run) sub.push_back(queries[task[i]]);
-    std::vector<SearchResult> computed =
-        detail::search_fused_escalating(sub, limits, escalation);
-    if (to_run.size() > 1) {
-      for (SearchResult& r : computed)
-        r.stats.fused_group_size = to_run.size();
-      computed[0].stats.fused_searches_saved = to_run.size() - 1;
-    }
-    for (std::size_t k = 0; k < to_run.size(); ++k) {
-      const std::size_t i = to_run[k];
-      if (cache) {
-        cache->store(fps[i], computed[k], limits, escalation);
-        computed[k].stats.cache_misses = 1;
-      }
-      results[task[i]] = std::move(computed[k]);
-    }
-  }
-
-  // Duplicates adopt their representative: through the cache when the entry
-  // landed (replicating an unfused warm hit, global counters included),
-  // else by copying the representative's deterministic result — exactly
-  // what re-running the identical query would have produced, minus the
-  // fused-run observability fields, which describe the shared exploration
-  // and are not the duplicate's own.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (adopt[i] == i) continue;
-    if (cache) {
-      if (auto hit = cache->lookup(fps[i], limits, escalation)) {
-        results[task[i]] = std::move(*hit);
-        continue;
-      }
-    }
-    SearchResult copy = results[task[adopt[i]]];
-    copy.stats.fused_group_size = 0;
-    copy.stats.fused_searches_saved = 0;
-    copy.stats.fused_world_states = 0;
-    results[task[i]] = std::move(copy);
-  }
-}
-
-}  // namespace
 
 std::vector<SearchResult> run_queries(std::span<const Query> queries,
                                       const SearchLimits& limits,
@@ -714,93 +413,34 @@ std::vector<SearchResult> run_queries(std::span<const Query> queries,
                                       QueryCache* cache) {
   std::vector<SearchResult> results(queries.size());
 
-  // Partition the batch into execution tasks. Queries sharing a world
-  // signature AND an identical reduction plan fuse into one multi-goal
-  // exploration (capped at 64 members — the membership-bitmask width);
-  // everything else — spill-enabled batches or unfingerprintable queries —
-  // stays a singleton task.
-  std::vector<std::vector<std::size_t>> tasks;
-  {
-    struct Group {
-      bool sym = false;
-      IndependenceTable table;
-      std::size_t task = 0;  // index into `tasks`
-    };
-    std::vector<Group> groups;
-    std::unordered_map<Fingerprint, std::vector<std::size_t>, FingerprintHash>
-        by_sig;
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      const Query& q = queries[i];
-      std::optional<Fingerprint> sig;
-      if (!limits.spill_enabled() && fingerprint_query(q, limits))
-        sig = world_signature(q, limits);
-      if (!sig) {
-        tasks.push_back({i});
-        continue;
-      }
-      const ReductionPlan plan = make_reduction_plan(q, limits);
-      std::vector<std::size_t>& cands = by_sig[*sig];
-      std::size_t gi = groups.size();
-      for (std::size_t cand : cands) {
-        // The signature already proves a shared world; the exact plan
-        // comparison (not a hash) is what licenses sharing one run's
-        // symmetry plans and ample choices across the whole group.
-        if (groups[cand].sym == plan.sym() &&
-            tables_equal(groups[cand].table, plan.table) &&
-            tasks[groups[cand].task].size() < 64) {
-          gi = cand;
-          break;
-        }
-      }
-      if (gi == groups.size()) {
-        cands.push_back(gi);
-        tasks.emplace_back();
-        groups.push_back(Group{plan.sym(), plan.table, tasks.size() - 1});
-      }
-      tasks[groups[gi].task].push_back(i);
-    }
-  }
-
   // Memoized or direct execution of one query; rosa/cache.h guarantees the
   // cached path returns what the direct path would have computed.
-  auto run_one = [&escalation, cache](const Query& q, const SearchLimits& lim) {
-    return cache ? cache->run_cached(q, lim, escalation)
-                 : search_escalating(q, lim, escalation);
-  };
-  auto run_task = [&](const std::vector<std::size_t>& task,
-                      const SearchLimits& lim) {
-    if (task.size() == 1) {
-      results[task[0]] = run_one(queries[task[0]], lim);
+  auto run_one = [&](std::size_t i, const SearchLimits& lim) {
+    if (lim.expired()) {
+      // Cancelled by the batch deadline before it started: the paper's
+      // hourglass verdict with zero work recorded.
+      results[i].verdict = Verdict::ResourceLimit;
       return;
     }
-    run_fused_task(queries, task, lim, escalation, cache, results);
+    results[i] = cache ? cache->run_cached(queries[i], lim, escalation)
+                       : search_escalating(queries[i], lim, escalation);
   };
 
   if (n_threads == 0) n_threads = support::ThreadPool::hardware_threads();
-  if (n_threads <= 1 || tasks.size() <= 1) {
-    for (const std::vector<std::size_t>& task : tasks) {
-      if (limits.expired()) {
-        for (std::size_t i : task) results[i] = cancelled_result();
-        continue;
-      }
-      run_task(task, limits);
-    }
+  if (n_threads <= 1 || queries.size() <= 1) {
+    for (std::size_t i = 0; i < queries.size(); ++i) run_one(i, limits);
     return results;
   }
   support::ThreadPool pool(
-      static_cast<unsigned>(std::min<std::size_t>(n_threads, tasks.size())));
+      static_cast<unsigned>(std::min<std::size_t>(n_threads, queries.size())));
   // Thread the pool's cancel token through each search so the first worker
   // to observe the deadline stops the whole matrix (unless the caller wired
   // in a flag of their own, which then governs).
   SearchLimits task_limits = limits;
   if (!task_limits.cancel) task_limits.cancel = pool.cancel_token();
-  for (const std::vector<std::size_t>& task : tasks)
-    pool.submit([&task_limits, &results, &pool, &run_task, &task] {
-      if (task_limits.expired()) {
-        for (std::size_t i : task) results[i] = cancelled_result();
-        return;
-      }
-      run_task(task, task_limits);
+  for (std::size_t i = 0; i < queries.size(); ++i)
+    pool.submit([&task_limits, &pool, &run_one, i] {
+      run_one(i, task_limits);
       if (task_limits.has_deadline() &&
           std::chrono::steady_clock::now() >= task_limits.deadline)
         pool.request_cancel();

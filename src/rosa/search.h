@@ -4,9 +4,11 @@
 // via a 64-bit hash of the canonical form (collisions resolved by exact
 // comparison, so dedup semantics are identical to full canonical keying).
 //
-// Single queries run on the calling thread; run_queries() fans a batch of
-// independent queries out across a thread pool with deterministic,
-// input-ordered results (the engine behind PipelineOptions::rosa_threads).
+// search() is ONE plain breadth-first loop for one query, run on the calling
+// thread; search_escalating() is its budget-escalation ladder. run_queries()
+// fans a batch out as one task per query across a thread pool with
+// deterministic, input-ordered results (the engine behind
+// PipelineOptions::rosa_threads).
 #pragma once
 
 #include <atomic>
@@ -110,8 +112,7 @@ struct Query {
   /// default: all). Masked-out messages can never fire, but their
   /// msgs_remaining bits stay SET forever, so two queries over the same
   /// message list that differ only in mask share canonical state
-  /// representations — the property the fused multi-goal engine's shared
-  /// dedup rests on, and what lets the (epoch × attack) matrix pose every
+  /// representations — what lets the (epoch × attack) matrix pose every
   /// attack against one union world. Proper masks are salted into the
   /// query fingerprint; full-mask fingerprints are unchanged.
   std::uint64_t msg_mask = ~std::uint64_t{0};
@@ -137,8 +138,7 @@ struct SearchLimits {
   /// they are expanded or compared, so the byte budget bounds *resident*
   /// memory instead of total exploration — the search completes with the
   /// same verdict/witness it would have produced unconstrained, rather
-  /// than returning ResourceLimit. Empty = spill disabled. Spill-enabled
-  /// batches never fuse (run_queries).
+  /// than returning ResourceLimit. Empty = spill disabled.
   std::string spill_dir;
   /// Disable duplicate-state detection (ablation only; exponential blowup).
   bool no_dedup = false;
@@ -238,19 +238,10 @@ struct SearchStats {
   /// ample set (rosa/independence.h) provably commutes past them.
   std::size_t por_pruned = 0;
   std::size_t escalations = 0;      // budget-doubled retries after ResourceLimit
-  /// Fused multi-goal search observability (zero on unfused runs; never
-  /// part of bit-identity comparisons or persistent cache entries).
-  /// Size of the world group this query was decided in (1 = ran alone);
-  /// aggregated by max, so the matrix figure reports the largest group.
-  std::size_t fused_group_size = 0;
-  /// Whole explorations the group fan-in avoided, charged once per group to
-  /// its first member (group size minus explorations actually run).
+  /// Always 0. Fused multi-goal search, which filled this with the whole
+  /// explorations a world group saved, is retired; the field stays because
+  /// the benchmark of record (perfbench/workloads.cpp) still reads it.
   std::size_t fused_searches_saved = 0;
-  /// States explored by the group's shared exploration, charged once per
-  /// group to its first member. Summing this across a fused matrix and
-  /// comparing against the sum of per-query `states` (which replay the
-  /// standalone counts) measures the fused states-explored reduction.
-  std::size_t fused_world_states = 0;
   /// States explored by the decisive (final) attempt. Equal to `states`
   /// except under escalation, where `states` accumulates work across every
   /// retry while this keeps the count of the attempt whose verdict the
@@ -300,32 +291,22 @@ struct SearchResult {
   std::string to_string() const;
 };
 
-/// Run the bounded search: detail::search_fused on a one-member group, the
-/// one exploration loop every query runs through.
+/// Run the bounded search: one breadth-first exploration of `query`.
 SearchResult search(const Query& query, const SearchLimits& limits = {});
 
 /// search() with adaptive budget escalation: on ResourceLimit, retry with
 /// geometrically grown limits per `policy` until a definite verdict, the
 /// round cap, or the batch deadline/cancel flag. The returned result is the
 /// decisive attempt's, except stats, which accumulate work across every
-/// attempt and record the retry count in stats.escalations. This is
-/// detail::search_fused_escalating on a one-member group.
+/// attempt and record the retry count in stats.escalations.
 SearchResult search_escalating(const Query& query, const SearchLimits& limits,
                                const EscalationPolicy& policy);
 
-/// Run a batch of independent queries, fanned out across `n_threads`
-/// workers (0 = hardware_concurrency). results[i] always corresponds to
-/// queries[i] regardless of completion order, and each individual search is
-/// single-threaded, so every result is bit-identical to a serial run.
-/// Exceptions from any query propagate to the caller.
-///
-/// Queries sharing a world signature (fingerprint minus goal identity and
-/// message mask) and an identical reduction plan fuse into ONE multi-goal
-/// exploration (detail::search_fused); per-query verdicts, witnesses, work
-/// counters, and cache entries are bit-identical to per-query search()
-/// runs (tests/rosa_fused_diff_test.cpp) — only the fused_* observability
-/// counters differ. Spill-enabled batches and unfingerprintable queries run
-/// one query per exploration.
+/// Run a batch of independent queries, one pool task per query across
+/// `n_threads` workers (0 = hardware_concurrency). results[i] always
+/// corresponds to queries[i] regardless of completion order, and each
+/// individual search is single-threaded, so every result is bit-identical
+/// to a serial run. Exceptions from any query propagate to the caller.
 ///
 /// `escalation` applies search_escalating() per query. When limits carries a
 /// deadline, the first worker to observe it expiring cancels the rest
@@ -335,51 +316,16 @@ SearchResult search_escalating(const Query& query, const SearchLimits& limits,
 ///
 /// `cache` (optional) memoizes whole-query results by content fingerprint:
 /// each distinct fingerprint is searched once and its result fanned out to
-/// every duplicate, with in-flight deduplication across workers. Cached and
-/// uncached batches are bit-identical in verdicts, witnesses, and work
-/// counters because identical fingerprints imply identical deterministic
-/// searches (rosa/cache.h spells out the reuse rules).
+/// every duplicate. The cache's in-flight slot handshake is the batch's only
+/// deduplication: a worker that picks up a fingerprint another worker is
+/// still computing blocks and adopts its result. Cached and uncached batches
+/// are bit-identical in verdicts, witnesses, and work counters because
+/// identical fingerprints imply identical deterministic searches
+/// (rosa/cache.h spells out the reuse rules).
 std::vector<SearchResult> run_queries(std::span<const Query> queries,
                                       const SearchLimits& limits = {},
                                       unsigned n_threads = 0,
                                       const EscalationPolicy& escalation = {},
                                       QueryCache* cache = nullptr);
-
-namespace detail {
-
-/// The exploration loop: ONE breadth-first search over a group of queries
-/// that share a world (initial state, pools, message list, attacker,
-/// checker identity) and differ only in goal and msg_mask. results[i] is
-/// bit-identical to running group[i] as a one-member group — verdict,
-/// witness, and every work counter — because each member's run is replayed
-/// exactly inside the shared exploration: a state belongs to member m iff
-/// its consumed-message set lies inside m's mask (an intrinsic property of
-/// the state, so the m-subsequence of the FIFO commit order IS m's
-/// standalone order, and dedup/collision decisions restricted to m's states
-/// match m's own seen-set), per-member frontier and arena-byte schedules
-/// are simulated against the one-member formulas, and each goal's first hit
-/// is recorded at its standalone decisive rank. Decided goals retire from
-/// the live set; exploration ends when all are decided or the frontier
-/// drains. A one-member group leaves every fused_* counter at 0.
-///
-/// Preconditions (the run_queries grouping guarantees them; callers passing
-/// hand-built groups must too): every member yields the same ReductionPlan
-/// (same symmetry eligibility, identical independence tables — proper
-/// masks disable POR, so masked groups always qualify), the group has at
-/// most 64 members, and only a one-member group may enable spilling.
-std::vector<SearchResult> search_fused(std::span<const Query> group,
-                                       const SearchLimits& limits);
-
-/// The escalation ladder: search_fused, then rounds that re-run ONLY the
-/// still-undecided (ResourceLimit) members with geometrically grown budgets
-/// — decided members keep their verdicts and witnesses from the round that
-/// decided them, which is exact because a definite verdict is a
-/// budget-monotone fact. Per-member stats accumulate across the rounds the
-/// member participated in.
-std::vector<SearchResult> search_fused_escalating(
-    std::span<const Query> group, const SearchLimits& limits,
-    const EscalationPolicy& policy);
-
-}  // namespace detail
 
 }  // namespace pa::rosa

@@ -26,13 +26,9 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::submit(std::function<void()> task) {
-  enqueue(std::move(task), nullptr);
-}
-
-void ThreadPool::enqueue(std::function<void()> task, TaskGroup* group) {
   {
     std::unique_lock<std::mutex> lock(mu_);
-    queue_.push_back(QueueEntry{std::move(task), group});
+    queue_.push_back(std::move(task));
     ++in_flight_;
   }
   task_ready_.notify_one();
@@ -50,7 +46,7 @@ void ThreadPool::wait_idle() {
 
 void ThreadPool::worker_loop() {
   for (;;) {
-    QueueEntry entry;
+    std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
       task_ready_.wait(lock,
@@ -58,61 +54,25 @@ void ThreadPool::worker_loop() {
       // Drain remaining tasks even during shutdown so no submitted work is
       // silently dropped.
       if (queue_.empty()) return;
-      entry = std::move(queue_.front());
+      task = std::move(queue_.front());
       queue_.pop_front();
     }
     std::exception_ptr err;
     try {
       // Task boundary fault point: an injected failure here takes the same
       // capture/rethrow path as a task's own exception (never terminate()s
-      // the worker), which the soak test relies on. For grouped tasks the
-      // capture is routed to the group below, so the group's barrier still
-      // completes even when the fault fires before the task body.
+      // the worker), which the soak test relies on.
       PA_FAULTPOINT("thread_pool.task");
-      entry.fn();
+      task();
     } catch (...) {
       err = std::current_exception();
     }
-    if (entry.group) {
-      entry.group->task_done(err);
-    } else if (err) {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (!first_error_) first_error_ = err;
-    }
     {
       std::unique_lock<std::mutex> lock(mu_);
+      if (err && !first_error_) first_error_ = err;
       if (--in_flight_ == 0) batch_done_.notify_all();
     }
   }
-}
-
-TaskGroup::~TaskGroup() {
-  std::unique_lock<std::mutex> lock(mu_);
-  done_.wait(lock, [this] { return pending_ == 0; });
-}
-
-void TaskGroup::submit(std::function<void()> task) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    ++pending_;
-  }
-  pool_.enqueue(std::move(task), this);
-}
-
-void TaskGroup::wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  done_.wait(lock, [this] { return pending_ == 0; });
-  if (first_error_) {
-    std::exception_ptr err = first_error_;
-    first_error_ = nullptr;  // one rethrow per failure
-    std::rethrow_exception(err);
-  }
-}
-
-void TaskGroup::task_done(std::exception_ptr err) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (err && !first_error_) first_error_ = err;
-  if (--pending_ == 0) done_.notify_all();
 }
 
 }  // namespace pa::support

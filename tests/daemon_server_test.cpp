@@ -4,6 +4,7 @@
 // drain shutdown, protocol-error hygiene, idle reaping, and warm restart
 // from the persistent cache file.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
@@ -39,8 +40,13 @@ entry:
 
 class DaemonServerTest : public ::testing::Test {
  protected:
+  /// `<TempDir>/pad_<tag>-<pid>.sock`: private to this process (ctest -j
+  /// runs each case as its own process, and several build trees may run
+  /// the suite at once) yet short, since a Unix socket path is capped at
+  /// 108 bytes — too short for a ScopedTestDir path.
   std::string sock_path(const std::string& tag) {
-    std::string p = ::testing::TempDir() + "/pad_" + tag + ".sock";
+    std::string p = ::testing::TempDir() + "/pad_" + tag + "-" +
+                    std::to_string(::getpid()) + ".sock";
     std::remove(p.c_str());
     return p;
   }

@@ -17,6 +17,7 @@
 // which is itself the reconnect-after-connection-loss story the global job
 // table exists for.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -31,6 +32,7 @@
 #include "daemon/job.h"
 #include "daemon/server.h"
 #include "support/faultpoint.h"
+#include "test_tmpdir.h"
 
 namespace pa::daemon {
 namespace {
@@ -100,21 +102,24 @@ TEST(DaemonSoakTest, EveryFaultPointUnderConcurrentClients) {
   const std::vector<std::string> points = fp::registered_points();
   ASSERT_FALSE(points.empty());
 
+  // Socket paths are capped at 108 bytes, too short for a ScopedTestDir
+  // path, so sockets get a pid-suffixed name directly under TempDir(); the
+  // cache files live in the private directory.
+  const test_util::ScopedTestDir dir;
   for (const std::string& point : points) {
     SCOPED_TRACE(point);
 
+    const std::string tag = "soak_" + std::to_string(&point - points.data());
     ServerOptions opts;
-    opts.socket_path =
-        ::testing::TempDir() + "/pad_soak_" + std::to_string(
-            &point - points.data()) + ".sock";
+    opts.socket_path = ::testing::TempDir() + "/pad_" + tag + "-" +
+                       std::to_string(::getpid()) + ".sock";
     std::remove(opts.socket_path.c_str());
     opts.workers = 2;
     opts.max_queue = 32;
     opts.default_deadline_secs = 20.0;
     // A persistent cache with per-job checkpoints keeps the rosa.cache_store
     // retry path in the loop as well.
-    opts.cache_file = opts.socket_path + ".cache";
-    std::remove(opts.cache_file.c_str());
+    opts.cache_file = dir.file(tag + ".cache");
     opts.checkpoint_jobs = 1;
 
     auto server = std::make_unique<Server>(opts);
@@ -165,7 +170,6 @@ TEST(DaemonSoakTest, EveryFaultPointUnderConcurrentClients) {
     // And it still drains cleanly: run() returning is the no-hang proof.
     server->request_shutdown(false);
     runner.join();
-    std::remove(opts.cache_file.c_str());
     std::remove(opts.socket_path.c_str());
   }
 }

@@ -128,11 +128,9 @@ TEST(ExportTest, SearchStatsCsvAndTableShape) {
   ASSERT_EQ(lines.size(),
             1 + a.verdicts.size() * attacks::modeled_attacks().size());
   EXPECT_TRUE(str::starts_with(lines[0], "program,epoch,attack,verdict"));
-  // The verdict-cache and fused-search counters ride along in the export.
-  EXPECT_NE(lines[0].find("cache_hits,cache_misses,cache_joins,seconds"),
-            std::string::npos);
-  EXPECT_NE(lines[0].find("fused_group_size,fused_searches_saved,"
-                          "fused_world_states"),
+  // The escalation and verdict-cache counters ride along in the export.
+  EXPECT_NE(lines[0].find("escalations,cache_hits,cache_misses,cache_joins,"
+                          "seconds"),
             std::string::npos);
   EXPECT_TRUE(str::starts_with(lines[1], "\"ping\",\"ping_priv1\","));
   // Each row carries the full column count (header commas == row commas).

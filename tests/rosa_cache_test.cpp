@@ -10,6 +10,7 @@
 #include <atomic>
 #include <fstream>
 #include <sstream>
+#include <unordered_set>
 
 #include "privanalyzer/pipeline.h"
 #include "privmodels/solaris.h"
@@ -166,6 +167,55 @@ TEST(QueryCacheTest, RunQueriesSearchesEachFingerprintOnce) {
   EXPECT_EQ(t.misses, 1u);
   EXPECT_EQ(t.hits, queries.size() - 1);
   EXPECT_EQ(t.entries, 1u);
+}
+
+// In-flight deduplication is the batch's only way to collapse duplicate
+// queries: the Table-III matrix with every query posed three times in a row
+// (so workers pick up copies of one query at once), on four workers sharing
+// one cache. Each distinct fingerprint is searched exactly
+// once; every other copy is served either by a stored entry (a plain hit)
+// or by blocking on the worker still computing it (a join, which then
+// adopts the result and so also records a hit).
+TEST(QueryCacheTest, InFlightDedupSearchesEachMatrixFingerprintOnce) {
+  const rosa_test::Matrix m = rosa_test::build_matrix();
+  const SearchLimits lim = rosa_test::table3_limits();
+  constexpr std::size_t kCopies = 3;
+  std::vector<Query> queries;
+  for (const Query& q : m.queries) queries.insert(queries.end(), kCopies, q);
+
+  std::unordered_set<Fingerprint, FingerprintHash> distinct;
+  for (const Query& q : m.queries) {
+    std::optional<Fingerprint> fp = fingerprint_query(q, lim);
+    ASSERT_TRUE(fp.has_value());
+    distinct.insert(*fp);
+  }
+  const std::size_t duplicates = queries.size() - distinct.size();
+
+  QueryCache cache;
+  const std::vector<SearchResult> results =
+      run_queries(queries, lim, /*n_threads=*/4, {}, &cache);
+  const std::vector<SearchResult> reference =
+      rosa_test::search_each(m.queries, lim);
+
+  ASSERT_EQ(results.size(), queries.size());
+  std::size_t misses = 0, plain_hits = 0, joins = 0;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    SCOPED_TRACE(m.labels[i / kCopies]);
+    rosa_test::expect_identical_runs(reference[i / kCopies], results[i]);
+    const SearchStats& st = results[i].stats;
+    EXPECT_EQ(st.cache_hits + st.cache_misses, 1u);
+    misses += st.cache_misses;
+    joins += st.cache_joins;
+    if (st.cache_hits && !st.cache_joins) ++plain_hits;
+  }
+  EXPECT_EQ(misses, distinct.size());
+  EXPECT_EQ(plain_hits + joins, duplicates);
+
+  const QueryCache::Totals t = cache.totals();
+  EXPECT_EQ(t.misses, distinct.size());
+  EXPECT_EQ(t.hits, duplicates);
+  EXPECT_EQ(t.joins, joins);
+  EXPECT_EQ(t.entries, distinct.size());
 }
 
 TEST(QueryCacheTest, ReachableVerdictTransfersToCompatibleBudgets) {

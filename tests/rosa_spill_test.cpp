@@ -329,9 +329,7 @@ TEST_F(SpillTest, PopsAndChainWalksReachFramesAppendedSinceTheLastFlush) {
     rosa_test::expect_same_work(full, spilled);
     EXPECT_EQ(spilled.stats.state_bytes, full.stats.state_bytes);
     EXPECT_EQ(spilled.stats.decisive_states, full.stats.decisive_states);
-    EXPECT_EQ(spilled.stats.fused_group_size, 0u);
     EXPECT_EQ(spilled.stats.fused_searches_saved, 0u);
-    EXPECT_EQ(spilled.stats.fused_world_states, 0u);
     EXPECT_EQ(spilled.stats.cache_hits + spilled.stats.cache_misses +
                   spilled.stats.cache_joins,
               0u);

@@ -1,7 +1,7 @@
 // Shared fixtures for the ROSA differential test suites: the Table-III and
 // Table-V golden matrices (query construction, limits, rendered line format,
 // golden loader) and the small handmade open-file queries with
-// deterministic budgets. The repr-diff, cache, parallel-diff, fused-diff and
+// deterministic budgets. The repr-diff, cache, parallel-diff and
 // reduction-diff suites all compare engines against the same captures, so
 // the fixture lives once here — a drift between two copies of
 // build_matrix() would silently weaken the differential guarantee.
@@ -210,6 +210,27 @@ inline void expect_same_work(const rosa::SearchResult& a,
   ASSERT_EQ(a.witness.size(), b.witness.size());
   for (std::size_t i = 0; i < a.witness.size(); ++i)
     EXPECT_EQ(a.witness[i].to_string(), b.witness[i].to_string());
+}
+
+/// expect_same_work plus the counters the goldens deliberately omit: byte
+/// accounting, spill figures and the decisive attempt's state count.
+inline void expect_identical_runs(const rosa::SearchResult& a,
+                                  const rosa::SearchResult& b) {
+  expect_same_work(a, b);
+  EXPECT_EQ(a.stats.peak_bytes, b.stats.peak_bytes);
+  EXPECT_EQ(a.stats.state_bytes, b.stats.state_bytes);
+  EXPECT_EQ(a.stats.decisive_states, b.stats.decisive_states);
+  EXPECT_EQ(a.stats.spilled_states, b.stats.spilled_states);
+  EXPECT_EQ(a.stats.spill_bytes, b.stats.spill_bytes);
+}
+
+/// The per-query oracle for batch runs: every query as its own search().
+inline std::vector<rosa::SearchResult> search_each(
+    const std::vector<rosa::Query>& queries,
+    const rosa::SearchLimits& limits) {
+  std::vector<rosa::SearchResult> out;
+  for (const rosa::Query& q : queries) out.push_back(rosa::search(q, limits));
+  return out;
 }
 
 }  // namespace pa::rosa_test

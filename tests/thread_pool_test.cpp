@@ -109,79 +109,5 @@ TEST(ThreadPoolTest, DestructionDrainsPendingTasks) {
   EXPECT_EQ(ran.load(), 100);
 }
 
-// --- TaskGroup: scoped sub-batches on a shared pool -------------------------
-
-TEST(ThreadPoolTest, TaskGroupBarrierCoversExactlyItsOwnTasks) {
-  ThreadPool pool(4);
-  TaskGroup a(pool), b(pool);
-  std::atomic<int> a_done{0}, b_done{0};
-  for (int i = 0; i < 50; ++i) a.submit([&a_done] { ++a_done; });
-  for (int i = 0; i < 30; ++i) b.submit([&b_done] { ++b_done; });
-  b.wait();
-  EXPECT_EQ(b_done.load(), 30);  // b's barrier covers all of b's tasks...
-  a.wait();
-  EXPECT_EQ(a_done.load(), 50);  // ...and a's all of a's
-}
-
-TEST(ThreadPoolTest, TaskGroupErrorRoutesToItsGroupNotThePool) {
-  ThreadPool pool(2);
-  TaskGroup failing(pool), healthy(pool);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 8; ++i)
-    failing.submit([&ran, i] {
-      if (i == 2) throw Error("grouped failure");
-      ++ran;
-    });
-  for (int i = 0; i < 8; ++i) healthy.submit([&ran] { ++ran; });
-
-  EXPECT_THROW(failing.wait(), Error);
-  EXPECT_NO_THROW(healthy.wait());
-  // Rethrown once: the group is clean for the next round.
-  EXPECT_NO_THROW(failing.wait());
-  // The pool-level error slot was never involved.
-  EXPECT_NO_THROW(pool.wait_idle());
-  EXPECT_EQ(ran.load(), 15);
-}
-
-TEST(ThreadPoolTest, UngroupedErrorDoesNotLeakIntoGroups) {
-  ThreadPool pool(2);
-  TaskGroup group(pool);
-  pool.submit([] { throw Error("ungrouped failure"); });
-  for (int i = 0; i < 4; ++i) group.submit([] {});
-  EXPECT_NO_THROW(group.wait());
-  EXPECT_THROW(pool.wait_idle(), Error);
-}
-
-TEST(ThreadPoolTest, TaskGroupIsReusableAcrossRounds) {
-  // The layered ROSA engine runs expand and dedup phases round after round
-  // on one shared pool; each phase is one group round.
-  ThreadPool pool(3);
-  TaskGroup group(pool);
-  std::atomic<int> count{0};
-  for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 20; ++i) group.submit([&count] { ++count; });
-    group.wait();
-    EXPECT_EQ(count.load(), (round + 1) * 20);
-  }
-}
-
-TEST(ThreadPoolTest, TaskGroupDestructorWaitsWithoutThrowing) {
-  // A group abandoned mid-failure must still act as a barrier (its tasks
-  // reference stack state) and must swallow, not rethrow, from the dtor.
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  {
-    TaskGroup group(pool);
-    for (int i = 0; i < 20; ++i)
-      group.submit([&ran, i] {
-        if (i == 0) throw Error("abandoned failure");
-        ++ran;
-      });
-    // no wait(): the destructor must block until all 20 completed
-  }
-  EXPECT_EQ(ran.load(), 19);
-  EXPECT_NO_THROW(pool.wait_idle());
-}
-
 }  // namespace
 }  // namespace pa::support
