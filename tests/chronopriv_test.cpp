@@ -25,7 +25,7 @@ TEST(EpochTrackerTest, SingleEpochForConstantState) {
   os::Pid p = k.spawn("p", Credentials::of_user(1000, 1000),
                       {Capability::Setuid});
   EpochTracker t;
-  for (int i = 0; i < 5; ++i) t.on_instruction(k.process(p), dummy_fn());
+  t.on_run(k.process(p), dummy_fn(), 0, 0, 5);
   EXPECT_EQ(t.total_instructions(), 5u);
   ASSERT_EQ(t.epochs().size(), 1u);
   EXPECT_EQ(t.epochs()[0].instructions, 5u);
@@ -37,9 +37,9 @@ TEST(EpochTrackerTest, PermittedChangeStartsNewEpoch) {
   os::Pid p = k.spawn("p", Credentials::of_user(1000, 1000),
                       {Capability::Setuid, Capability::Chown});
   EpochTracker t;
-  t.on_instruction(k.process(p), dummy_fn());
+  t.on_run(k.process(p), dummy_fn(), 0, 0, 1);
   k.priv_remove(p, {Capability::Chown});
-  t.on_instruction(k.process(p), dummy_fn());
+  t.on_run(k.process(p), dummy_fn(), 0, 0, 1);
   ASSERT_EQ(t.epochs().size(), 2u);
   EXPECT_EQ(t.epochs()[1].key.permitted, caps::CapSet{Capability::Setuid});
 }
@@ -49,11 +49,11 @@ TEST(EpochTrackerTest, RaiseLowerDoesNotSplitEpochs) {
   os::Pid p = k.spawn("p", Credentials::of_user(1000, 1000),
                       {Capability::Setuid});
   EpochTracker t;
-  t.on_instruction(k.process(p), dummy_fn());
+  t.on_run(k.process(p), dummy_fn(), 0, 0, 1);
   k.priv_raise(p, {Capability::Setuid});
-  t.on_instruction(k.process(p), dummy_fn());
+  t.on_run(k.process(p), dummy_fn(), 0, 0, 1);
   k.priv_lower(p, {Capability::Setuid});
-  t.on_instruction(k.process(p), dummy_fn());
+  t.on_run(k.process(p), dummy_fn(), 0, 0, 1);
   EXPECT_EQ(t.epochs().size(), 1u);  // permitted set never changed
 }
 
@@ -61,11 +61,11 @@ TEST(EpochTrackerTest, CredChangeStartsNewEpochAndRecurringKeysMerge) {
   os::Kernel k;
   os::Pid p = k.spawn("p", Credentials::of_user(1000, 1000), {});
   EpochTracker t;
-  t.on_instruction(k.process(p), dummy_fn());
+  t.on_run(k.process(p), dummy_fn(), 0, 0, 1);
   k.process(p).creds.uid = {0, 0, 0};
-  t.on_instruction(k.process(p), dummy_fn());
+  t.on_run(k.process(p), dummy_fn(), 0, 0, 1);
   k.process(p).creds.uid = {1000, 1000, 1000};  // back to the first key
-  t.on_instruction(k.process(p), dummy_fn());
+  t.on_run(k.process(p), dummy_fn(), 0, 0, 1);
   ASSERT_EQ(t.epochs().size(), 2u);
   EXPECT_EQ(t.epochs()[0].instructions, 2u);  // merged
   EXPECT_EQ(t.epochs()[1].instructions, 1u);
@@ -75,9 +75,9 @@ TEST(EpochTrackerTest, SupplementaryGroupsDoNotSplit) {
   os::Kernel k;
   os::Pid p = k.spawn("p", Credentials::of_user(1000, 1000), {});
   EpochTracker t;
-  t.on_instruction(k.process(p), dummy_fn());
+  t.on_run(k.process(p), dummy_fn(), 0, 0, 1);
   k.process(p).creds.set_supplementary({4, 24});
-  t.on_instruction(k.process(p), dummy_fn());
+  t.on_run(k.process(p), dummy_fn(), 0, 0, 1);
   EXPECT_EQ(t.epochs().size(), 1u);
 }
 
@@ -85,7 +85,7 @@ TEST(EpochTrackerTest, ResetClears) {
   os::Kernel k;
   os::Pid p = k.spawn("p", Credentials::of_user(1000, 1000), {});
   EpochTracker t;
-  t.on_instruction(k.process(p), dummy_fn());
+  t.on_run(k.process(p), dummy_fn(), 0, 0, 1);
   t.reset();
   EXPECT_EQ(t.total_instructions(), 0u);
   EXPECT_TRUE(t.epochs().empty());
@@ -96,9 +96,9 @@ TEST(ReportTest, RowsNamedAndFractionsSumToOne) {
   os::Pid p = k.spawn("p", Credentials::of_user(1000, 1000),
                       {Capability::Setuid});
   EpochTracker t;
-  for (int i = 0; i < 3; ++i) t.on_instruction(k.process(p), dummy_fn());
+  t.on_run(k.process(p), dummy_fn(), 0, 0, 3);
   k.priv_remove(p, {Capability::Setuid});
-  t.on_instruction(k.process(p), dummy_fn());
+  t.on_run(k.process(p), dummy_fn(), 0, 0, 1);
 
   ChronoReport r = make_report("prog", t);
   ASSERT_EQ(r.rows.size(), 2u);

@@ -144,9 +144,9 @@ TEST(TimelineRenderTest, ListsSegments) {
                       {caps::Capability::Setuid});
   ir::Function dummy("d", 0);
   chronopriv::EpochTracker t;
-  t.on_instruction(k.process(p), dummy);
+  t.on_run(k.process(p), dummy, 0, 0, 1);
   k.priv_remove(p, {caps::Capability::Setuid});
-  t.on_instruction(k.process(p), dummy);
+  t.on_run(k.process(p), dummy, 0, 0, 1);
   std::string text = chronopriv::render_timeline(t);
   EXPECT_NE(text.find("2 segments"), std::string::npos);
   EXPECT_NE(text.find("{CapSetuid}"), std::string::npos);

@@ -81,11 +81,11 @@ TEST(TimelineTest, SegmentsRecordOrderedRuns) {
   ir::Function dummy("d", 0);
   chronopriv::EpochTracker t;
   // 3 instrs in state A, 2 in B, 1 back in A.
-  for (int i = 0; i < 3; ++i) t.on_instruction(k.process(p), dummy);
+  t.on_run(k.process(p), dummy, 0, 0, 3);
   k.process(p).creds.uid = {0, 0, 0};
-  for (int i = 0; i < 2; ++i) t.on_instruction(k.process(p), dummy);
+  t.on_run(k.process(p), dummy, 0, 0, 2);
   k.process(p).creds.uid = {1000, 1000, 1000};
-  t.on_instruction(k.process(p), dummy);
+  t.on_run(k.process(p), dummy, 0, 0, 1);
 
   // Aggregated rows merge the A-state (4 instructions in 2 rows total).
   ASSERT_EQ(t.epochs().size(), 2u);
