@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -46,10 +47,9 @@ struct Server::Conn {
 struct Server::Job {
   std::uint64_t id = 0;
   std::uint64_t conn_id = 0;
-  JobRequest req;
+  std::optional<JobRequest> req;  // reset once the job is terminal
   std::atomic<bool> cancel{false};
   JobState state = JobState::Queued;  // guarded by jobs_mu_
-  JobOutcome outcome;                 // guarded by jobs_mu_; terminal only
 };
 
 Server::Server(ServerOptions opts)
@@ -279,16 +279,18 @@ void Server::run_next_job() {
     return;
   }
   std::shared_ptr<rosa::QueryCache> cache =
-      job->req.use_cache ? cache_ : nullptr;
-  finish_job(*job, run_job(job->req, std::move(cache), &job->cancel,
+      job->req->use_cache ? cache_ : nullptr;
+  finish_job(*job, run_job(*job->req, std::move(cache), &job->cancel,
                            opts_.default_deadline_secs));
 }
 
 void Server::finish_job(Job& job, JobOutcome outcome) {
   {
     std::lock_guard<std::mutex> lock(jobs_mu_);
+    // Only the state outlives the job: a reconnecting client's Status poll
+    // reads it; the request (source text included) is never read again.
     job.state = outcome.state;
-    job.outcome = outcome;
+    job.req.reset();
     ++counters_.completed;
     ++completed_since_checkpoint_;
   }
@@ -380,8 +382,7 @@ void Server::reap_dead_conns(bool all) {
     for (std::uint64_t job_id : it->second) {
       Job& job = *jobs_.at(job_id);
       job.state = JobState::Cancelled;
-      job.outcome = JobOutcome{JobState::Cancelled,
-                               privanalyzer::kExitAllFailed, ""};
+      job.req.reset();
       --queued_count_;
       ++counters_.completed;
     }
