@@ -2,11 +2,13 @@
 // it under an EpochTracker.
 //
 // The paper's ChronoPriv is an LLVM pass that inserts per-basic-block
-// counting code; in this reproduction the VM natively counts executed
-// instructions and the tracker attributes each one to the privilege state in
-// force, which yields the same measurement without mutating the module.
-// This file also exposes the static per-block counts (what the inserted
-// counters would have added) so tests can cross-check dynamic totals.
+// counting code; in this reproduction the VM counts at the same
+// granularity without mutating the module: it reports each straight-line
+// run of instructions once (vm::Tracer::on_run), and the tracker charges the
+// whole run to the privilege state in force, which no instruction inside a
+// run can change (DESIGN.md decision 16). This file also exposes the static
+// per-block counts (what the inserted counters would have added) so tests
+// can cross-check dynamic totals.
 #pragma once
 
 #include <cstdint>
