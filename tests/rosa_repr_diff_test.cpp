@@ -8,7 +8,10 @@
 // into the multi-goal loop — serial and 4-thread, uncached and cached, and
 // per-query search(). The searches run with SearchLimits::check_hashes, so
 // every incrementally maintained digest is cross-checked against a
-// from-scratch State::full_hash() along the way.
+// from-scratch State::full_hash() along the way. The Table-III matrix under
+// the CfiOrdered and FixedArgs attackers, reduced, must match
+// tests/golden/rosa_attacker_models.txt (no fingerprints: it pins results
+// across changes to how attack queries are keyed).
 //
 // The golden matrix machinery (build_matrix, table3_limits, render_line,
 // load_golden) is shared with the other differential suites via
@@ -126,6 +129,29 @@ TEST(ReprDiffTest, TableFiveVulnerableFractionsMatchGoldens) {
   ASSERT_EQ(analyses.size(), golden.fractions.size());
   for (std::size_t i = 0; i < analyses.size(); ++i)
     EXPECT_EQ(rosa_test::fraction_line(analyses[i]), golden.fractions[i]);
+}
+
+TEST(ReprDiffTest, AttackerModelMatricesMatchGolden) {
+  const Golden golden = rosa_test::load_golden("rosa_attacker_models.txt");
+  ASSERT_EQ(golden.qlines.size(), 192u) << "golden file out of shape";
+  const auto specs = programs::all_baseline_programs();
+  const auto analyses =
+      privanalyzer::analyze_baseline(rosa_test::chrono_only());
+  rosa::SearchLimits limits = rosa_test::table3_limits();
+  limits.reduction = true;  // the default engine: symmetry counts are live
+  std::size_t line = 0;
+  for (const rosa::AttackerModel model :
+       {rosa::AttackerModel::CfiOrdered, rosa::AttackerModel::FixedArgs}) {
+    const Matrix m = rosa_test::build_matrix(specs, analyses, model);
+    const std::vector<rosa::SearchResult> results =
+        rosa::run_queries(m.queries, limits, /*n_threads=*/1);
+    ASSERT_LE(line + m.queries.size(), golden.qlines.size());
+    for (std::size_t i = 0; i < m.queries.size(); ++i, ++line)
+      EXPECT_EQ(rosa_test::render_model_line(m.queries[i], results[i], limits),
+                golden.qlines[line])
+          << rosa::attacker_model_name(model) << "/" << m.labels[i];
+  }
+  EXPECT_EQ(line, golden.qlines.size());
 }
 
 }  // namespace
