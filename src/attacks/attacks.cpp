@@ -15,10 +15,9 @@ using rosa::Message;
 using rosa::Query;
 using rosa::State;
 
-// Attack-set bits for per-message ownership in the union message list:
-// which of Table I's attacks may fire the message. This is §VII-A's
-// relevance tailoring, expressed as a mask over one shared list instead of
-// four separate tailored lists.
+// Attack-set bits for per-message ownership: which of Table I's attacks a
+// message is relevant to. This is §VII-A's relevance tailoring — each
+// attack's query carries only the messages it owns.
 constexpr std::uint64_t kR = 1;  // ReadDevMem
 constexpr std::uint64_t kW = 2;  // WriteDevMem
 constexpr std::uint64_t kB = 4;  // BindPrivilegedPort
@@ -34,23 +33,19 @@ std::uint64_t attack_bit(AttackId attack) {
   PA_UNREACHABLE("attack id");
 }
 
-/// Append the union message list — every syscall any Table-I attack is
-/// interested in, with open split into a read-mode and a write-mode message
-/// so each /dev/mem attack selects its own access mode — and return
-/// `attack`'s fireable mask over it. The list is byte-identical for all
-/// four attacks of an epoch (same syscalls, same args, same privileges),
-/// the mask being the only per-attack residue. File attacks own the file
-/// and credential syscalls, the bind attack the socket syscalls, the kill
-/// attack kill plus the setuid family (CAP_SETUID lets the attacker become
-/// the victim's uid and pass the kill(2) permission check).
-std::uint64_t add_messages(Query& q, const ScenarioInput& in,
-                           AttackId attack) {
+/// Append `attack`'s messages: the program's syscalls relevant to it, in
+/// program order, each usable with the epoch's whole permitted set. Open is
+/// split into a read-mode and a write-mode message so each /dev/mem attack
+/// gets its own access mode. File attacks own the file and credential
+/// syscalls, the bind attack the socket syscalls, the kill attack kill plus
+/// the setuid family (CAP_SETUID lets the attacker become the server's uid
+/// and pass the kill(2) permission check).
+void add_messages(Query& q, const ScenarioInput& in, AttackId attack) {
   const caps::CapSet privs = in.permitted;
   const std::uint64_t want = attack_bit(attack);
-  std::uint64_t mask = 0;
   auto push = [&](rosa::Sys sys, std::vector<int> args,
                   std::uint64_t owners) {
-    if (owners & want) mask |= std::uint64_t{1} << q.messages.size();
+    if (!(owners & want)) return;
     Message m;
     m.sys = sys;
     m.proc = kVictimProc;
@@ -112,7 +107,6 @@ std::uint64_t add_messages(Query& q, const ScenarioInput& in,
         break;
     }
   }
-  return mask;
 }
 
 /// The union id pools: every value any of the four attacks' searches may
@@ -148,10 +142,10 @@ const std::vector<AttackInfo>& modeled_attacks() {
 rosa::Query build_attack_query(AttackId attack, const ScenarioInput& in) {
   Query q;
 
-  // One union world, built identically for all four attacks of an epoch:
-  // the victim and the critical server both exist, and so do /dev/mem and
-  // the /etc decoys, whichever attack is being asked about. Per-attack
-  // tailoring lives entirely in q.goal and q.msg_mask.
+  // One world, built identically for all four attacks of an epoch: the
+  // victim and the critical server both exist, and so do /dev/mem and the
+  // /etc decoys, whichever attack is being asked about. Per-attack
+  // tailoring lives entirely in q.goal and the messages add_messages picks.
   rosa::ProcObj victim;
   victim.id = kVictimProc;
   victim.uid = in.creds.uid;
@@ -211,7 +205,7 @@ rosa::Query build_attack_query(AttackId attack, const ScenarioInput& in) {
   }
 
   add_pools(q.initial, in);
-  q.msg_mask = add_messages(q, in, attack);
+  add_messages(q, in, attack);
   q.attacker = in.attacker;
   q.initial.normalize();
   return q;

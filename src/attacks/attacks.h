@@ -1,11 +1,10 @@
 // The four privilege-escalation attacks of the paper's Table I, expressed as
-// ROSA queries. All four queries of an epoch share ONE union world — the
-// victim, the critical server, /dev/mem and the /etc decoys, and a single
-// union message list; §VII-A's per-attack tailoring ("the subset of the
-// program's syscalls relevant to it") is expressed through Query::msg_mask,
-// which selects the attack's fireable messages out of the shared list. Each
-// query is one independent search. Every message may use the epoch's
-// entire permitted privilege set — the paper's strong attack model.
+// ROSA queries. All four queries of an epoch share one world — the victim,
+// the critical server, /dev/mem and the /etc decoys — and each carries only
+// its own messages, §VII-A's per-attack tailoring ("the subset of the
+// program's syscalls relevant to it"). Each query is one independent
+// search. Every message may use the epoch's entire permitted privilege set
+// — the paper's strong attack model.
 #pragma once
 
 #include <string>

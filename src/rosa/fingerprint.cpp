@@ -112,17 +112,6 @@ std::optional<Fingerprint> fingerprint_query(const Query& query,
     for (int a : m.args) h.i64(a);
     h.u64(m.privs.raw());
   }
-  // The message mask selects which messages may fire, so it is as
-  // semantics-bearing as the message list itself. Salted only when proper
-  // so full-mask fingerprints stay byte-identical with pre-mask builds.
-  const std::uint64_t full_mask =
-      query.messages.size() >= 64 ? ~std::uint64_t{0}
-                                  : (std::uint64_t{1} << query.messages.size()) -
-                                        1;
-  if ((query.msg_mask & full_mask) != full_mask) {
-    h.str("mask-v1");
-    h.u64(query.msg_mask & full_mask);
-  }
   return h.digest();
 }
 

@@ -26,7 +26,7 @@
 namespace pa::rosa {
 
 /// Model-version salt. Bump on ANY change to rules/state/search semantics.
-inline constexpr std::string_view kRosaModelVersion = "rosa-model-v1";
+inline constexpr std::string_view kRosaModelVersion = "rosa-model-v2";
 
 struct Fingerprint {
   std::uint64_t hi = 0;

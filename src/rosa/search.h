@@ -30,32 +30,24 @@ namespace pa::rosa {
 
 class QueryCache;  // rosa/cache.h
 
-/// A goal predicate plus an optional stable cache identity. The predicate is
-/// what the search evaluates; the cache key is what the verdict cache
-/// (rosa/cache.h) fingerprints — two goals with the same key MUST accept
-/// exactly the same states. Ad-hoc lambdas convert implicitly and carry no
-/// key, which simply makes their queries uncacheable; the builders in
-/// rosa/query.h all return keyed goals.
-/// Static annotations on a goal predicate that the reduction machinery
-/// (rosa/canon.h, rosa/independence.h) needs to stay sound. Builders in
-/// rosa/query.h fill these in; ad-hoc lambda goals keep the conservative
-/// defaults, which disable both reductions for the query.
+/// Static annotation on a goal predicate that symmetry reduction
+/// (rosa/canon.h) needs to stay sound. The builders in rosa/query.h fill it
+/// in; ad-hoc lambda goals keep the conservative default, which disables
+/// the reduction for the query.
 struct GoalInfo {
   /// True when the predicate's value is invariant under any permutation of
   /// uid values and (separately) gid values across the whole state — the
   /// precondition for symmetry reduction. All the shipped builders qualify:
   /// they inspect fdsets, sockets, and running flags, never identities.
   bool identity_invariant = false;
-  /// True when the touch sets below are exhaustive, i.e. the predicate
-  /// reads *only* the listed per-process resources. False means "reads
-  /// unknown state", which makes every message goal-visible and turns
-  /// partial-order reduction into a no-op (safe default).
-  bool touch_known = false;
-  std::vector<int> fd_procs;    // reads rdfset/wrfset of these procs
-  std::vector<int> run_procs;   // reads the running flag of these procs
-  std::vector<int> sock_procs;  // reads sockets/bound ports of these procs
 };
 
+/// A goal predicate plus an optional stable cache identity. The predicate is
+/// what the search evaluates; the cache key is what the verdict cache
+/// (rosa/cache.h) fingerprints — two goals with the same key MUST accept
+/// exactly the same states. Ad-hoc lambdas convert implicitly and carry no
+/// key, which simply makes their queries uncacheable; the builders in
+/// rosa/query.h all return keyed goals.
 class Goal {
  public:
   Goal() = default;
@@ -108,14 +100,6 @@ struct Query {
   /// efficacy of different OS privilege models). Non-owning; defaults to
   /// Linux capabilities.
   const AccessChecker* checker = nullptr;
-  /// Which messages the attacker may actually fire (bit i = messages[i];
-  /// default: all). Masked-out messages can never fire, but their
-  /// msgs_remaining bits stay SET forever, so two queries over the same
-  /// message list that differ only in mask share canonical state
-  /// representations — what lets the (epoch × attack) matrix pose every
-  /// attack against one union world. Proper masks are salted into the
-  /// query fingerprint; full-mask fingerprints are unchanged.
-  std::uint64_t msg_mask = ~std::uint64_t{0};
 };
 
 struct SearchLimits {
@@ -142,15 +126,13 @@ struct SearchLimits {
   std::string spill_dir;
   /// Disable duplicate-state detection (ablation only; exponential blowup).
   bool no_dedup = false;
-  /// Symmetry + partial-order reduction (rosa/canon.h, rosa/independence.h).
-  /// On by default: states are canonicalized modulo wildcard-identity
-  /// permutations before dedup, and each frontier pop expands only an
-  /// ample subset of the unconsumed messages when the rest provably
-  /// commutes past it. Verdicts, vulnerable_fractions, and witness
-  /// *validity* are preserved exactly (tests/rosa_reduction_diff_test.cpp);
-  /// work counters and the particular witness found may differ from the
-  /// unreduced run, so the flag is salted into cache fingerprints. Set
-  /// false (`--no-reduction`) for A/B ablation against the full space.
+  /// Symmetry reduction (rosa/canon.h). On by default: states are
+  /// canonicalized modulo wildcard-identity permutations before dedup.
+  /// Verdicts, vulnerable_fractions, and witness *validity* are preserved
+  /// exactly (tests/rosa_reduction_diff_test.cpp); work counters and the
+  /// particular witness found may differ from the unreduced run, so the
+  /// flag is salted into cache fingerprints. Set false (`--no-reduction`)
+  /// for A/B ablation against the full space.
   bool reduction = true;
   /// Debug mode: cross-check every incrementally maintained state digest
   /// against a from-scratch State::full_hash() and abort on mismatch. Costs
@@ -234,9 +216,6 @@ struct SearchStats {
   /// identity renaming (rosa/canon.h) — each one is a state the unreduced
   /// search would have treated as distinct from its orbit representative.
   std::size_t symmetry_pruned = 0;
-  /// Unconsumed messages deferred at frontier pops because the chosen
-  /// ample set (rosa/independence.h) provably commutes past them.
-  std::size_t por_pruned = 0;
   std::size_t escalations = 0;      // budget-doubled retries after ResourceLimit
   /// Always 0. Fused multi-goal search, which filled this with the whole
   /// explorations a world group saved, is retired; the field stays because

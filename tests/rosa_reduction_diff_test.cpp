@@ -1,7 +1,7 @@
-// Differential tests for the search reductions (SearchLimits::reduction):
-// symmetry canonicalization (rosa/canon.h) and partial-order ample sets
-// (rosa/independence.h) may only shrink the explored space — never change a
-// verdict, a vulnerable fraction, or the validity of a witness.
+// Differential tests for the search reduction (SearchLimits::reduction):
+// symmetry canonicalization (rosa/canon.h) may only shrink the explored
+// space — never change a verdict, a vulnerable fraction, or the validity of
+// a witness.
 //
 //  * The full Table-III matrix runs reduced vs. the unreduced reference
 //    engine on 1 and 4 matrix workers, cached and uncached: identical
@@ -14,6 +14,8 @@
 //    identities lands on the same canonical state and digest.
 //  * A pool-heavy workload (the BENCH_rosa reference config) pins the
 //    headline win: >= 5x fewer states with bit-identical verdicts.
+//  * A two-process query whose goal needs a dependent chmod -> open order
+//    finds a witness that replays on the simulated kernel, reduced or not.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -229,6 +231,45 @@ TEST(ReductionDiffTest, WitnessRenamedBackToOriginalFrameReplays) {
   std::string diag;
   EXPECT_TRUE(world.replay(r.witness, &diag)) << diag;
   EXPECT_TRUE(world.holds_open(1, 2, /*for_write=*/false));
+}
+
+TEST(ReductionDiffTest, TwoProcessDependentWitnessReplays) {
+  // Reaching the goal REQUIRES the dependent order chmod -> open (the file
+  // starts unreadable even to its owner), while proc 2's messages touch
+  // nothing of proc 1's: the search must interleave the two processes and
+  // the witness must replay on the simulated kernel.
+  rosa::Query q;
+  for (int p = 1; p <= 2; ++p) {
+    rosa::ProcObj proc;
+    proc.id = p;
+    proc.uid = {1000 * p, 1000 * p, 1000 * p};
+    proc.gid = {1000 * p, 1000 * p, 1000 * p};
+    q.initial.procs.push_back(proc);
+  }
+  q.initial.files.push_back(rosa::FileObj{3, {1000, 1000, os::Mode(0000)}});
+  q.initial.files.push_back(rosa::FileObj{4, {2000, 2000, os::Mode(0600)}});
+  q.initial.set_name(3, "a");
+  q.initial.set_name(4, "b");
+  q.initial.set_users({1000, 2000});
+  q.initial.set_groups({1000, 2000});
+  q.initial.normalize();
+  q.messages.push_back(rosa::msg_chmod(1, 3, 0400, {}));
+  q.messages.push_back(rosa::msg_open(1, 3, rosa::kAccRead, {}));
+  q.messages.push_back(rosa::msg_open(2, 4, rosa::kAccRead, {}));
+  q.messages.push_back(rosa::msg_chmod(2, 4, 0640, {}));
+  q.goal = rosa::goal_file_in_rdfset(1, 3);
+
+  for (bool reduction : {false, true}) {
+    rosa::SearchLimits limits;
+    limits.reduction = reduction;
+    const rosa::SearchResult r = rosa::search(q, limits);
+    ASSERT_EQ(r.verdict, rosa::Verdict::Reachable)
+        << "reduction=" << reduction;
+    rosa::Materialized world(q.initial);
+    std::string diag;
+    ASSERT_TRUE(world.replay(r.witness, &diag)) << diag;
+    EXPECT_TRUE(world.holds_open(1, 3, /*for_write=*/false));
+  }
 }
 
 // --- Headline pruning ratio (the BENCH_rosa reference workload) ------------
