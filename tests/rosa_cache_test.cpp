@@ -467,6 +467,21 @@ TEST_F(PersistentCacheTest, StaleModelVersionIsIgnoredWholesale) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
+TEST_F(PersistentCacheTest, OldFormatVersionIsIgnoredWholesale) {
+  // v4 files carry a por-pruned field that v5 dropped; the header alone
+  // must reject them, before any entry line is parsed.
+  QueryCache writer;
+  writer.run_cached(reachable_query(), states_budget(10'000));
+  ASSERT_TRUE(writer.save_file(path_));
+  tamper("privanalyzer-rosa-cache v5 ", "privanalyzer-rosa-cache v4 ");
+  QueryCache cache;
+  std::string warn;
+  EXPECT_FALSE(cache.load_file(path_, &warn));
+  EXPECT_NE(warn.find("stale version"), std::string::npos) << warn;
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.totals().loaded, 0u);
+}
+
 TEST_F(PersistentCacheTest, TruncatedFileIsIgnored) {
   QueryCache writer;
   writer.run_cached(reachable_query(), states_budget(10'000));
