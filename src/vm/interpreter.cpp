@@ -149,7 +149,14 @@ long Interpreter::run(const std::string& entry,
                       std::vector<ir::RtValue> args) {
   start(entry, std::move(args));
   execute(UINT64_MAX);
-  return exit_code_;
+  return exit_code();
+}
+
+long Interpreter::exit_code() const {
+  // A killed process stops with frames left and never ran ret/exit; the
+  // kernel recorded its 128+signo.
+  const bool killed = !stack_.empty() && !exited_ && !proc_->alive();
+  return killed ? kernel_->process(pid_).exit_code : exit_code_;
 }
 
 void Interpreter::finalize() {

@@ -49,7 +49,8 @@ class Interpreter {
   void set_limits(RunLimits limits) { limits_ = limits; }
 
   /// Run `entry` with integer/string arguments; returns the program's exit
-  /// code (the value of Exit, or the entry function's return value).
+  /// code (the value of Exit, the entry function's return value, or the
+  /// kernel's 128+signo when the process was killed).
   /// Throws pa::Error on runtime faults (bad IR, executed unreachable,
   /// instruction budget exhausted).
   long run(const std::string& entry = "main",
@@ -66,7 +67,8 @@ class Interpreter {
   bool finished() const {
     return stack_.empty() || exited_ || !proc_->alive();
   }
-  long exit_code() const { return exit_code_; }
+  /// As run() returns; 0 while the program is still running.
+  long exit_code() const;
 
   std::uint64_t executed() const { return executed_; }
 

@@ -108,6 +108,7 @@ TEST(SchedulerTest, SigkillTerminatesVictimMidRun) {
   sched.run_all();
   EXPECT_FALSE(k.process(pv).alive());
   EXPECT_EQ(k.process(pv).exit_code, 128 + os::kSigKill);
+  EXPECT_EQ(sched.exit_code(0), 128 + os::kSigKill);
 }
 
 TEST(SchedulerTest, PrivilegeSeparatedPair) {

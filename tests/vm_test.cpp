@@ -183,6 +183,22 @@ TEST_F(VmFixture, SignalDeliveryRunsHandler) {
   EXPECT_EQ(run(spawn()), os::kSigTerm);
 }
 
+TEST_F(VmFixture, UnhandledSelfKillReturnsTheSignalExitCode) {
+  IRBuilder b(m);
+  b.begin_function("main", 0);
+  int self = b.syscall("getpid", {});
+  b.syscall("kill", {B::r(self), B::i(os::kSigTerm)});
+  b.nop(4);
+  b.ret(B::i(3));
+  b.end_function();
+  const os::Pid p = spawn();
+  Interpreter interp(k, m, p);
+  EXPECT_EQ(interp.run("main"), 128 + os::kSigTerm);
+  EXPECT_EQ(interp.exit_code(), 128 + os::kSigTerm);
+  EXPECT_EQ(interp.executed(), 2u);  // stopped at the kill
+  EXPECT_EQ(k.process(p).exit_code, 128 + os::kSigTerm);
+}
+
 TEST_F(VmFixture, ExecutedCountMatchesSmallProgram) {
   IRBuilder b(m);
   b.begin_function("main", 0);
@@ -347,7 +363,8 @@ TEST_F(VmFixture, FilterKillStopsTheProcessAtTheDeniedSyscall) {
   chronopriv::EpochTracker tracker;
   Interpreter interp(k, m, p);
   interp.set_tracer(&tracker);
-  interp.run("main");
+  EXPECT_EQ(interp.run("main"), 128 + 31);
+  EXPECT_EQ(interp.exit_code(), 128 + 31);
   EXPECT_EQ(interp.executed(), 3u);
   EXPECT_EQ(tracker.total_instructions(), 3u);
   EXPECT_FALSE(k.process(p).alive());
