@@ -113,7 +113,7 @@ struct JobRequest {
   double deadline_secs = 0.0;  // per-job wall budget (0 = server default)
   bool run_rosa = true;
   bool use_cache = true;  // consult the daemon's resident verdict cache
-  bool reduction = true;  // symmetry + partial-order reduction (rosa/canon.h)
+  bool reduction = true;  // symmetry reduction (rosa/canon.h)
   /// EpochFilter mode: "off" | "report" | "enforce" (filter_mode_name
   /// spelling; unknown values are a job-level usage error, not a protocol
   /// error). Enforced jobs use the default -EPERM violation semantics.

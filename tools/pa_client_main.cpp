@@ -5,7 +5,7 @@
 //     --max-states N     ROSA state budget per query
 //     --escalate-rounds N budget escalation rounds
 //     --no-cache         bypass the daemon's resident verdict cache
-//     --no-reduction     disable symmetry + partial-order search reduction
+//     --no-reduction     disable symmetry search reduction
 //     --filters MODE     EpochFilter mode: off (default) | report | enforce
 //     --no-wait          print the job id and exit without waiting
 //   pa_client --socket PATH status JOB_ID
