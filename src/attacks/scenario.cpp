@@ -75,8 +75,8 @@ std::vector<EpochVerdicts> analyze_epochs(
   out.reserve(rows.size());
 
   // Flatten the (epoch × attack) matrix into one query batch, at every
-  // thread count: run_queries needs the whole matrix in one call to group
-  // the four attacks of an epoch by world signature. It guarantees
+  // thread count, so one pool spreads the whole matrix and the verdict
+  // cache sees every duplicate cell. run_queries guarantees
   // input-ordered results, so row i's verdicts live at
   // [i * n_attacks, (i + 1) * n_attacks); a batch deadline turns the cells
   // it never started into hourglass (Timeout) cells.
